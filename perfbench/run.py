@@ -2,12 +2,12 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload placement --seed 1 --seconds 16 --trace 0
+    python3 perfbench/run.py --workload analysis --seed 1 --seconds 36 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics: it times several cold
-set-ups, then one closed-loop run of whole op rounds until at least
-``--seconds`` of op time are measured, checking every op's output
-outside the timed interval.  ``--trace 1`` reports the per-layer
+set-ups, then one closed-loop run of the whole op rounds that fill
+``--seconds`` on the reference box, checking every op's output outside
+the timed interval.  ``--trace 1`` reports the per-layer
 metrics instead, from an untraced and a traced pass over the same ops.
 Human-readable lines come first; the last line of standard output is
 one JSON object with ``correct``, ``attempted``, ``failed`` and
@@ -32,11 +32,11 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKER = os.path.join(HERE, "worker.py")
-WORKLOADS = ("placement", "signoff", "transient", "cli")
+WORKLOADS = ("analysis", "cli")
 
 #: Cold set-ups timed per run (the measuring process's own set-up is
 #: one of them, except on ``cli``); ``setup_s`` is their median.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 #: ``op_tail_ms`` is the highest percentile with this many samples
 #: beyond it.
 TAIL_BEYOND = 10

@@ -52,12 +52,13 @@ def _env() -> dict:
 
 
 @pytest.mark.parametrize(
-    "name, ops", [("placement", 3), ("signoff", 40), ("transient", 4), ("cli", 6)]
+    "name, ops",
+    [("analysis", 12), ("placement", 3), ("signoff", 40), ("transient", 4), ("cli", 6)],
 )
 def test_seed_fixes_inputs(name, ops):
-    from workloads import WORKLOADS
+    from workloads import PARTS, WORKLOADS
 
-    cls = WORKLOADS[name]
+    cls = (WORKLOADS | PARTS)[name]
 
     def fingerprints(seed):
         workload = cls(seed)
@@ -66,6 +67,19 @@ def test_seed_fixes_inputs(name, ops):
     first = fingerprints(7)
     assert fingerprints(7) == first
     assert fingerprints(8) != first
+
+
+def test_analysis_carries_each_part_op_for_op():
+    from workloads import PARTS, Analysis
+
+    session = Analysis(5)
+    ops = [session.inputs(i) for i in range(len(Analysis.classes))]
+    for name, cls in PARTS.items():
+        mine = [Analysis.fingerprint(op) for op in ops if op["part"] == name]
+        part = cls(5)
+        expect = [cls.fingerprint(part.inputs(k) | {"part": name}) for k in range(len(mine))]
+        assert mine == expect
+        assert len(mine) == Analysis.classes.count(name)
 
 
 # -- metric names ---------------------------------------------------------------
@@ -85,7 +99,7 @@ def test_printed_metrics_match_benchmark_json():
         [
             sys.executable,
             str(BENCH / "run.py"),
-            "--workload", "signoff",
+            "--workload", "analysis",
             "--seed", "3",
             "--seconds", "0.2",
             "--trace", "0",
@@ -110,7 +124,7 @@ def test_refuses_to_run_without_the_program(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     result = subprocess.run(
-        [sys.executable, *CONFIG["command"][1:], "--workload", "signoff",
+        [sys.executable, *CONFIG["command"][1:], "--workload", "analysis",
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=tmp_path,
         capture_output=True,

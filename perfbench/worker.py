@@ -12,7 +12,6 @@ pass over the same ops).  The process prints one JSON line.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import resource
@@ -26,20 +25,19 @@ from spans import Span, Tracer, dump_spans, load_spans, top_level_time  # noqa: 
 
 OUT_DIR = ".perfbench_out"
 
-#: A run makes at least enough whole rounds to fill this many times
-#: ``--seconds`` on the reference box, so its op count — and the
-#: percentile behind ``op_tail_ms`` — holds while the box runs up to
-#: this much faster or any amount slower.
-ROUND_MARGIN = 1.25
+
+def rounds_for(workload_cls, seconds: float) -> int:
+    """Whole rounds that fill ``seconds`` on the reference box.
+
+    A fixed count rather than a time box: every run of a workload
+    carries the same ops, so the percentile behind ``op_tail_ms`` and
+    the traced pass's counts repeat for a seed, however busy the box."""
+    return max(1, round(seconds / workload_cls.round_seconds))
 
 
 def trace_ops(workload_cls, seconds: float) -> int:
-    """Ops in each pass of a traced run: whole rounds, half a run's.
-
-    A fixed count rather than a time box, so the traced pass's counts
-    repeat exactly for a seed."""
-    rounds = max(1, round(ROUND_MARGIN * seconds / 2 / workload_cls.round_seconds))
-    return rounds * len(workload_cls.classes)
+    """Ops in each pass of a traced run: whole rounds, half a run's."""
+    return rounds_for(workload_cls, seconds / 2) * len(workload_cls.classes)
 
 
 def environment() -> dict:
@@ -117,31 +115,31 @@ class Loop:
                 problems = [f"op {i}: {p}" for p in wl.check(op, result)]
             except Exception as exc:
                 problems = [f"op {i} check raised {exc!r}"]
-            if hasattr(wl, "quality") and not problems:
-                self.quality.append(wl.quality(op, result))
+            quality = getattr(wl, "quality", None)
+            if quality is not None and not problems:
+                if (q := quality(op, result)) is not None:
+                    self.quality.append(q)
         self.failures.extend(problems)
         self.failed += bool(problems)
         return op
 
     def run_for(self, seconds: float) -> None:
-        """Run whole rounds until ``seconds`` of op time are measured,
-        and at least the rounds ``ROUND_MARGIN`` asks for."""
-        size = len(self.workload.classes)
-        rounds = math.ceil(ROUND_MARGIN * seconds / self.workload.round_seconds)
-        min_ops = size * rounds
-        i = 0
-        while sum(self.latencies) < seconds or i % size or i < min_ops:
-            self.step(i)
-            i += 1
+        """Run the whole rounds that fill ``seconds`` on the reference box."""
+        self.run_n(rounds_for(type(self.workload), seconds) * len(self.workload.classes))
 
     def run_n(self, n: int) -> list[dict]:
         return [self.step(i) for i in range(n)]
 
 
-def make(name: str, seed: int, trace_dir: str | None = None):
-    from workloads import WORKLOADS
+def workload_class(name: str):
+    """A benchmark workload, or one library part of ``analysis``."""
+    from workloads import PARTS, WORKLOADS
 
-    cls = WORKLOADS[name]
+    return (WORKLOADS | PARTS)[name]
+
+
+def make(name: str, seed: int, trace_dir: str | None = None):
+    cls = workload_class(name)
     return cls(seed, trace_dir) if name == "cli" else cls(seed)
 
 
@@ -202,9 +200,8 @@ def trace_pass(name: str, seed: int, n_ops: int, import_span: Span | None):
 
 def trace(name: str, seed: int, seconds: float, import_span: Span) -> dict:
     from layers import layer_metrics
-    from workloads import WORKLOADS
 
-    n_ops = trace_ops(WORKLOADS[name], seconds)
+    n_ops = trace_ops(workload_class(name), seconds)
     plain, traced, spans = trace_pass(
         name, seed, n_ops, None if name == "cli" else import_span
     )
@@ -236,7 +233,7 @@ def trace(name: str, seed: int, seconds: float, import_span: Span) -> dict:
         metrics["placement.peak_over_target"] = statistics.fmean(
             q[1] for q in traced.quality
         )
-    if name == "transient":
+    if hasattr(traced.workload, "bit_mismatches"):
         # Both passes share the workload object: rechecks of both.
         metrics["pdn.grid_transient.batch_bit_mismatches"] = (
             traced.workload.bit_mismatches

@@ -1,4 +1,7 @@
-"""The four benchmark workloads: seeded inputs, one op, output checks.
+"""The benchmark workloads: seeded inputs, one op, output checks.
+
+``analysis`` runs the library parts ``placement``, ``signoff`` and
+``transient`` in one loop; ``cli`` runs the command line.
 
 Every workload is closed-loop with one client: the runner starts op
 ``i + 1`` only after op ``i`` has returned.  Ops come in *rounds*: each
@@ -7,8 +10,8 @@ order, so a run that stops on a round boundary always carries the same
 mix and the spread between seeds stays small.  Op ``i``'s inputs
 depend only on ``(seed, i)``; the program receives nothing but the
 generated designs and loads.  ``round_seconds`` is a round's duration
-on the reference box (2 CPUs); it sets the fewest rounds a run makes
-and the size of the traced pass of ``--trace 1`` runs.
+on the reference box (2 CPUs); it sets how many rounds a run makes and
+the size of the traced pass of ``--trace 1`` runs.
 
 Each workload exposes:
 
@@ -104,9 +107,8 @@ def digest(value: Any, h=None) -> str:
 class Placement:
     """One op = one ``optimize_decap_placement`` run at default budgets.
 
-    A round holds two 12², six 16² and one 24² design: the median and
-    the tail op are both 16² runs, drawn from the largest sample a run
-    holds, and 24² takes about 40% of the op time.  The design
+    A round holds two 12², six 16² and one 24² design; 24² takes
+    about 40% of the op time.  The design
     knobs that set an op's difficulty — the target ratio and the VR
     count — are stratified along each mesh size's op sequence (a
     golden-ratio sequence with a seeded start), so every run spans the
@@ -381,9 +383,8 @@ class Transient:
 
     A round is six 32² ensembles (three of each load) and one 64²
     ensemble (the load alternates between rounds): the 64² (structured)
-    runs take about a third of the op time, and, with fewer than ten
-    64² runs in a run, the median and tail ops are 32² (factorized)
-    runs, whose cost does not depend on the load.  A step
+    runs take about a third of the op time, and a 32² (factorized)
+    run's cost does not depend on the load.  A step
     ensemble gives each trace its own chip, idle level and hotspot
     profile (rank-1 per trace); a moving-hotspot ensemble takes eight
     staggered windows of one ``hotspot_trajectory`` path, each at its
@@ -556,4 +557,78 @@ class Cli:
         return digest(op["argv"])
 
 
-WORKLOADS = {w.name: w for w in (Placement, Signoff, Transient, Cli)}
+# -- analysis -------------------------------------------------------------------
+
+#: Rounds of each library part in one round of ``analysis``.
+ANALYSIS_ROUNDS = {Placement: 1, Signoff: 2, Transient: 1}
+
+
+class Analysis:
+    """One design session on the library: the placement, sign-off and
+    load-step transient ops in one closed loop.
+
+    A round holds one round of placement and transient and two of
+    sign-off, interleaved in a seeded order; a part's ``k``-th op of
+    the run is that part's op ``k``, so every part keeps its own round
+    mix, inputs and checks.  With two sign-off rounds the median op is
+    a 128² DC solve, in the middle of their latencies, and the tail op
+    a 16² placement run.  The parts share one process, as a user's
+    session does: the factorization cache, the allocator and the BLAS
+    threads.
+    """
+
+    name = "analysis"
+    parts = {w.name: w for w in ANALYSIS_ROUNDS}
+    classes = tuple(
+        w.name for w, k in ANALYSIS_ROUNDS.items() for _ in range(k * len(w.classes))
+    )
+    round_seconds = sum(k * w.round_seconds for w, k in ANALYSIS_ROUNDS.items())
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.workloads = {name: w(seed) for name, w in self.parts.items()}
+
+    def setup(self) -> None:
+        for workload in self.workloads.values():
+            workload.setup()
+
+    def reset(self) -> None:
+        for workload in self.workloads.values():
+            workload.reset()
+
+    def inputs(self, i: int) -> dict:
+        r, pos = divmod(i, len(self.classes))
+        order = round_order(self.seed, r, self.classes)
+        part = order[pos]
+        k = r * self.classes.count(part) + order[:pos].count(part)
+        return self.workloads[part].inputs(k) | {"part": part}
+
+    def run(self, op: dict):
+        return self.workloads[op["part"]].run(op)
+
+    def check(self, op: dict, result) -> list[str]:
+        return self.workloads[op["part"]].check(op, result)
+
+    def quality(self, op: dict, result) -> tuple[float, float] | None:
+        """Placement quality of a placement op; ``None`` for the rest."""
+        if op["part"] != "placement":
+            return None
+        return Placement.quality(op, result)
+
+    @property
+    def rechecked(self) -> int:
+        return self.workloads["transient"].rechecked
+
+    @property
+    def bit_mismatches(self) -> int:
+        return self.workloads["transient"].bit_mismatches
+
+    @classmethod
+    def fingerprint(cls, op: dict) -> str:
+        return cls.parts[op["part"]].fingerprint(op)
+
+
+#: The benchmark's workloads; ``PARTS`` are the library parts of
+#: ``analysis``, which the benchmark's tests also run on their own.
+WORKLOADS = {w.name: w for w in (Analysis, Cli)}
+PARTS = Analysis.parts
