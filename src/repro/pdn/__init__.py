@@ -8,6 +8,8 @@ This package models the physical path from PCB to point-of-load:
 * :mod:`~repro.pdn.planes` — horizontal plane / RDL resistance models,
 * :mod:`~repro.pdn.network` / :mod:`~repro.pdn.mna` — generic resistive
   netlists and the sparse modified-nodal-analysis DC solver,
+* :mod:`~repro.pdn.mesh` — the mesh design (geometry, sources, decap,
+  sinks) the DC, AC and transient grids share,
 * :mod:`~repro.pdn.grid` — 2-D lateral grids for die/interposer metal,
 * :mod:`~repro.pdn.powermap` — die current-demand maps,
 * :mod:`~repro.pdn.transient` — linear RLC load-step (droop) analysis.

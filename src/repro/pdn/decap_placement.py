@@ -36,10 +36,10 @@ Three cooperating mechanisms under one entry point,
   coarse pass costs a fraction of a fine evaluation and lands the
   fine pass near the answer.
 
-The optimizer never leaves the grid mutated: it snapshots the decap
-state (:meth:`~repro.pdn.grid.GridACPDN.decap_snapshot`) and restores
-it in a ``finally``; apply the result explicitly with
-:meth:`PlacementResult.apply_to`.
+The optimizer never touches the grid: it runs on a cache-free copy
+(:meth:`~repro.pdn.mesh.MeshDesign.copy`), so the caller's decap state
+and cached structures survive untouched; apply the result explicitly
+with :meth:`PlacementResult.apply_to`.
 
 :func:`select_vr_sites` is the companion placement axis: greedy
 forward selection of VR sites from an attached candidate bank, each
@@ -179,47 +179,6 @@ def prolong_density(
 def _default_coarse_shape(ny: int, nx: int) -> tuple[int, int]:
     """Half resolution per axis, floored at 2 (GridACPDN's minimum)."""
     return (max(2, (ny + 1) // 2), max(2, (nx + 1) // 2))
-
-
-def _coarse_clone(
-    pdn: GridACPDN, coarse_shape: tuple[int, int]
-) -> GridACPDN:
-    """The same die at coarse mesh resolution, sources snapped.
-
-    Sheet resistance is resolution-independent (the mesh converges to
-    the same continuum), and per-edge inductance is rescaled by the
-    edge-length ratio so the total metal loop stays comparable.
-    Sources keep their voltage/rout/L and snap to the nearest coarse
-    node; the ring bus is copied as-is.
-    """
-    cny, cnx = coarse_shape
-    scale_x = (
-        (pdn.nx - 1) / (cnx - 1) if cnx > 1 and pdn.nx > 1 else 1.0
-    )
-    scale_y = (
-        (pdn.ny - 1) / (cny - 1) if cny > 1 and pdn.ny > 1 else 1.0
-    )
-    clone = GridACPDN(
-        pdn.width_m,
-        pdn.height_m,
-        pdn.sheet_ohm_sq,
-        nx=cnx,
-        ny=cny,
-        edge_inductance_x_h=pdn.edge_inductance_x_h * scale_x,
-        edge_inductance_y_h=pdn.edge_inductance_y_h * scale_y,
-    )
-    for name, ix, iy, voltage, rout, l_src in pdn._sources:
-        cix = min(
-            int(round(ix * (cnx - 1) / max(pdn.nx - 1, 1))), cnx - 1
-        )
-        ciy = min(
-            int(round(iy * (cny - 1) / max(pdn.ny - 1, 1))), cny - 1
-        )
-        clone._add_source_at(name, cix, ciy, voltage, rout, l_src)
-    if pdn._ring_bus_ohm is not None and len(clone._sources) >= 3:
-        clone._ring_bus_ohm = pdn._ring_bus_ohm
-        clone._rev += 1
-    return clone
 
 
 # -- budget projection ---------------------------------------------------------
@@ -539,17 +498,18 @@ def optimize_decap_placement(
         method: impedance-map engine forwarded to evaluation.
 
     Returns:
-        A :class:`PlacementResult`; the grid's decap state is restored
-        before returning (including on error).
+        A :class:`PlacementResult`; the grid itself is never touched
+        (the optimizer runs on a copy), including on error.
     """
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
-    if pdn._decap is None or pdn._decap[0] != "density":
+    decap, _ = pdn.decap_snapshot()
+    if decap is None or decap[0] != "density":
         raise ConfigError(
             "placement optimization needs a decap density attachment; "
             "call set_decap_density first"
         )
-    if not pdn._sources:
+    if not pdn.source_names:
         raise ConfigError("no sources attached; call add_source first")
     if max_iterations < 0 or gradient_steps < 0:
         raise ConfigError("iteration budgets must be non-negative")
@@ -564,8 +524,7 @@ def optimize_decap_placement(
         if frequencies_hz is None
         else np.asarray(frequencies_hz, dtype=float)
     )
-    _, density_before, c_u, esr_u, esl_u = pdn._decap
-    density_before = density_before.copy()
+    _, density_before, c_u, esr_u, esl_u = decap
     unit = (c_u, esr_u, esl_u)
     cells = pdn.nx * pdn.ny
     if budget_f is None:
@@ -575,157 +534,158 @@ def optimize_decap_placement(
     total_units = budget_f / c_u
     floor = floor_fraction * total_units / cells
 
-    snapshot = pdn.decap_snapshot()
-    try:
-        peak_map_before = (
-            pdn.impedance_map(freqs, method=method).peak_map()
-        )
+    # Everything runs on a cache-free copy: the caller's grid — its
+    # decap and every structure cached for it — is never touched.
+    work = pdn.copy()
+    peak_map_before = (
+        work.impedance_map(freqs, method=method).peak_map()
+    )
 
-        # Candidate warm starts, best-of (violating fraction, peak):
-        # the attached allocation rescaled to the budget, the uniform
-        # allocation (which pins the never-worse-than-uniform
-        # guarantee), and — on large meshes — a coarse-grid optimum
-        # prolonged onto the fine mesh.
-        starts = [
-            _project_budget(
-                density_before.ravel()
-                * (total_units / density_before.sum()),
-                floor,
-                total_units,
-            ),
-            np.full(cells, total_units / cells),
-        ]
-        used_coarse: tuple[int, int] | None = None
-        use_multires = multi_resolution is True or (
-            multi_resolution == "auto" and cells >= MULTIRES_MIN_CELLS
+    # Candidate warm starts, best-of (violating fraction, peak):
+    # the attached allocation rescaled to the budget, the uniform
+    # allocation (which pins the never-worse-than-uniform
+    # guarantee), and — on large meshes — a coarse-grid optimum
+    # prolonged onto the fine mesh.
+    starts = [
+        _project_budget(
+            density_before.ravel()
+            * (total_units / density_before.sum()),
+            floor,
+            total_units,
+        ),
+        np.full(cells, total_units / cells),
+    ]
+    used_coarse: tuple[int, int] | None = None
+    use_multires = multi_resolution is True or (
+        multi_resolution == "auto" and cells >= MULTIRES_MIN_CELLS
+    )
+    if use_multires:
+        cshape = (
+            _default_coarse_shape(pdn.ny, pdn.nx)
+            if coarse_shape is None
+            else (int(coarse_shape[0]), int(coarse_shape[1]))
         )
-        if use_multires:
-            cshape = (
-                _default_coarse_shape(pdn.ny, pdn.nx)
-                if coarse_shape is None
-                else (int(coarse_shape[0]), int(coarse_shape[1]))
+        if not (
+            2 <= cshape[0] <= pdn.ny and 2 <= cshape[1] <= pdn.nx
+        ):
+            raise ConfigError(
+                "coarse_shape must be at least (2, 2) and no "
+                "larger than the mesh"
             )
-            if not (
-                2 <= cshape[0] <= pdn.ny and 2 <= cshape[1] <= pdn.nx
-            ):
-                raise ConfigError(
-                    "coarse_shape must be at least (2, 2) and no "
-                    "larger than the mesh"
-                )
-            if cshape[0] * cshape[1] < cells:
-                coarse = _coarse_clone(pdn, cshape)
-                coarse.set_decap_density(
-                    restrict_density(density_before, cshape),
-                    c_u,
-                    esr_u,
-                    esl_u,
-                )
-                coarse_result = optimize_decap_placement(
-                    coarse,
-                    target_ohm,
-                    frequencies_hz=freqs,
-                    budget_f=budget_f,
-                    floor_fraction=floor_fraction,
-                    max_iterations=max_iterations,
-                    gradient_steps=gradient_steps,
-                    multi_resolution=False,
-                    method=method,
-                )
-                starts.append(
-                    _project_budget(
-                        prolong_density(
-                            coarse_result.density_after,
-                            (pdn.ny, pdn.nx),
-                        ).ravel(),
-                        floor,
-                        total_units,
-                    )
-                )
-                used_coarse = cshape
-
-        alpha: np.ndarray | None = None
-        best: _Evaluation | None = None
-        for start in starts:
-            trial = _evaluate(pdn, start, unit, freqs, target_ohm, method)
-            if best is None or _better(trial, best):
-                alpha, best = start, trial
-        assert alpha is not None and best is not None
-        history = [best.violating_fraction]
-
-        iterations = 0
-        for _ in range(max_iterations):
-            if best.violating_fraction == 0.0:
-                break
-            fraction = INITIAL_MOVE_FRACTION
-            accepted = False
-            for _ in range(MAX_BACKTRACKS):
-                proposal = _greedy_proposal(
-                    alpha, best.peaks, target_ohm, floor, fraction
-                )
-                if proposal is None:
-                    break
-                trial = _evaluate(
-                    pdn, proposal, unit, freqs, target_ohm, method
-                )
-                if _better(trial, best):
-                    alpha, best = proposal, trial
-                    history.append(best.violating_fraction)
-                    iterations += 1
-                    accepted = True
-                    break
-                fraction *= 0.5
-            if not accepted:
-                break
-
-        gradient_taken = 0
-        for _ in range(gradient_steps):
-            if best.peak_ohm <= target_ohm * (1 + TARGET_RTOL):
-                break
-            gradient = _peak_gradient(
-                pdn, alpha, unit, best, freqs, target_ohm
+        if cshape[0] * cshape[1] < cells:
+            # The same die at coarse resolution: sources snapped, edge
+            # inductance rescaled, ring bus kept.
+            coarse = pdn.resampled(cshape[1], cshape[0])
+            coarse.set_decap_density(
+                restrict_density(density_before, cshape),
+                c_u,
+                esr_u,
+                esl_u,
             )
-            largest = float(np.abs(gradient).max())
-            if largest <= 0.0:
-                break
-            # Step sized so the steepest node moves ~¼ of the mean
-            # density, then backtracking-halved.
-            eta = 0.25 * (total_units / cells) / largest
-            accepted = False
-            for _ in range(MAX_BACKTRACKS):
-                proposal = _project_budget(
-                    alpha - eta * gradient, floor, total_units
+            coarse_result = optimize_decap_placement(
+                coarse,
+                target_ohm,
+                frequencies_hz=freqs,
+                budget_f=budget_f,
+                floor_fraction=floor_fraction,
+                max_iterations=max_iterations,
+                gradient_steps=gradient_steps,
+                multi_resolution=False,
+                method=method,
+            )
+            starts.append(
+                _project_budget(
+                    prolong_density(
+                        coarse_result.density_after,
+                        (pdn.ny, pdn.nx),
+                    ).ravel(),
+                    floor,
+                    total_units,
                 )
-                trial = _evaluate(
-                    pdn, proposal, unit, freqs, target_ohm, method
-                )
-                if _better(trial, best):
-                    alpha, best = proposal, trial
-                    history.append(best.violating_fraction)
-                    gradient_taken += 1
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                break
+            )
+            used_coarse = cshape
 
-        return PlacementResult(
-            target_ohm=float(target_ohm),
-            frequencies_hz=freqs,
-            capacitance_budget_f=float(budget_f),
-            cap_per_unit_f=c_u,
-            esr_per_unit_ohm=esr_u,
-            esl_per_unit_h=esl_u,
-            density_before=density_before,
-            density_after=alpha.reshape(pdn.ny, pdn.nx).copy(),
-            peak_map_before=peak_map_before,
-            peak_map_after=best.peaks.reshape(pdn.ny, pdn.nx).copy(),
-            violating_fraction_history=tuple(history),
-            iterations=iterations,
-            gradient_steps_taken=gradient_taken,
-            coarse_shape=used_coarse,
+    alpha: np.ndarray | None = None
+    best: _Evaluation | None = None
+    for start in starts:
+        trial = _evaluate(work, start, unit, freqs, target_ohm, method)
+        if best is None or _better(trial, best):
+            alpha, best = start, trial
+    assert alpha is not None and best is not None
+    history = [best.violating_fraction]
+
+    iterations = 0
+    for _ in range(max_iterations):
+        if best.violating_fraction == 0.0:
+            break
+        fraction = INITIAL_MOVE_FRACTION
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            proposal = _greedy_proposal(
+                alpha, best.peaks, target_ohm, floor, fraction
+            )
+            if proposal is None:
+                break
+            trial = _evaluate(
+                work, proposal, unit, freqs, target_ohm, method
+            )
+            if _better(trial, best):
+                alpha, best = proposal, trial
+                history.append(best.violating_fraction)
+                iterations += 1
+                accepted = True
+                break
+            fraction *= 0.5
+        if not accepted:
+            break
+
+    gradient_taken = 0
+    for _ in range(gradient_steps):
+        if best.peak_ohm <= target_ohm * (1 + TARGET_RTOL):
+            break
+        gradient = _peak_gradient(
+            work, alpha, unit, best, freqs, target_ohm
         )
-    finally:
-        pdn.restore_decap(snapshot)
+        largest = float(np.abs(gradient).max())
+        if largest <= 0.0:
+            break
+        # Step sized so the steepest node moves ~¼ of the mean
+        # density, then backtracking-halved.
+        eta = 0.25 * (total_units / cells) / largest
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            proposal = _project_budget(
+                alpha - eta * gradient, floor, total_units
+            )
+            trial = _evaluate(
+                work, proposal, unit, freqs, target_ohm, method
+            )
+            if _better(trial, best):
+                alpha, best = proposal, trial
+                history.append(best.violating_fraction)
+                gradient_taken += 1
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+
+    return PlacementResult(
+        target_ohm=float(target_ohm),
+        frequencies_hz=freqs,
+        capacitance_budget_f=float(budget_f),
+        cap_per_unit_f=c_u,
+        esr_per_unit_ohm=esr_u,
+        esl_per_unit_h=esl_u,
+        density_before=density_before,
+        density_after=alpha.reshape(pdn.ny, pdn.nx).copy(),
+        peak_map_before=peak_map_before,
+        peak_map_after=best.peaks.reshape(pdn.ny, pdn.nx).copy(),
+        violating_fraction_history=tuple(history),
+        iterations=iterations,
+        gradient_steps_taken=gradient_taken,
+        coarse_shape=used_coarse,
+    )
 
 
 def size_decap_placement_for_target(
@@ -828,64 +788,22 @@ class VRSiteSelection:
         return self.score_history[-1]
 
 
-def _vr_payload(grid: GridPDN) -> tuple:
-    """Everything a worker needs to rebuild the candidate-bank grid."""
+def _vr_payload(grid: GridPDN) -> GridPDN:
+    """The candidate-bank grid as a picklable, cache-free copy."""
     if grid._sink_map is None:
         raise ConfigError(
             "VR-site selection needs a sink map; call set_sinks first"
         )
-    if not grid._sources:
+    if not grid.source_names:
         raise ConfigError(
             "no candidate sources attached; call add_source first"
         )
-    return (
-        grid.width_m,
-        grid.height_m,
-        grid.sheet_ohm_sq,
-        grid.nx,
-        grid.ny,
-        np.asarray(grid._sink_map, dtype=float),
-        tuple(grid._sources),
-        grid._ring_bus_ohm,
-        None if grid._edge_scale_x is None else grid._edge_scale_x.copy(),
-        None if grid._edge_scale_y is None else grid._edge_scale_y.copy(),
-    )
+    return grid.copy()
 
 
-def _vr_grid_from_payload(payload: tuple) -> GridPDN:
-    (
-        width,
-        height,
-        sheet,
-        nx,
-        ny,
-        sinks,
-        sources,
-        ring_ohm,
-        scale_x,
-        scale_y,
-    ) = payload
-    grid = GridPDN(width, height, sheet, nx=nx, ny=ny)
-    grid.set_sink_array(sinks)
-    if scale_x is not None or scale_y is not None:
-        grid.set_edge_resistance_scale(scale_x, scale_y)
-    for name, ix, iy, voltage, rout in sources:
-        grid.add_source(
-            name,
-            ix / max(nx - 1, 1),
-            iy / max(ny - 1, 1),
-            voltage,
-            rout,
-        )
-    if ring_ohm is not None:
-        grid.connect_sources_with_ring_bus(ring_ohm)
-    return grid
-
-
-def _vr_site_chunk(payload: tuple, scenarios: tuple) -> list[float]:
+def _vr_site_chunk(grid: GridPDN, scenarios: tuple) -> list[float]:
     """Chunk runner: worst-node voltage with each scenario's sources
     open-circuited, batched through ``solve_disabled_many``."""
-    grid = _vr_grid_from_payload(payload)
     solutions = grid.solve_disabled_many(
         [scenario.params for scenario in scenarios]
     )
@@ -913,10 +831,10 @@ def select_vr_sites(
     earlier-attached candidate, keeping the selection deterministic
     and jobs-count independent.
 
-    The grid itself is never mutated: workers rebuild it from a
-    picklable payload.
+    The grid itself is never mutated: workers solve a picklable copy.
     """
-    n = len(grid._sources)
+    names = grid.source_names
+    n = len(names)
     if count < 1 or count > n:
         raise ConfigError(
             f"site count must be in [1, {n}] for {n} candidates"
@@ -952,8 +870,8 @@ def select_vr_sites(
         history.append(float(best_score))
     return VRSiteSelection(
         chosen_indices=tuple(chosen),
-        chosen_names=tuple(grid._sources[i][0] for i in chosen),
-        candidate_names=tuple(s[0] for s in grid._sources),
+        chosen_names=tuple(names[i] for i in chosen),
+        candidate_names=tuple(names),
         objective="min-voltage",
         score_history=tuple(history),
     )

@@ -99,7 +99,7 @@ class FastPoissonOperator:
     """``M = gx·(I ⊗ Lx) + gy·(Ly ⊗ I) [+ shift·I]`` with O(n² log n) solves.
 
     Grid node ``(ix, iy)`` occupies row ``iy·nx + ix`` (the mesh row
-    convention of :func:`repro.pdn.grid.mesh_edge_rows`).  With
+    convention of :func:`repro.pdn.mesh.mesh_edge_rows`).  With
     ``shift == 0`` the zero (constant) mode is deflated: its
     eigenvalue is replaced by ``τ = gx + gy`` and
     :attr:`deflation_tau` reports the value so callers can subtract

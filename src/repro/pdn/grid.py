@@ -11,14 +11,18 @@ Loss accounting convention: the grid models ONE polarity.  For a
 symmetric power + ground pair the reported lateral loss is doubled via
 ``rail_pair_factor`` (default 2.0).
 
+The mesh design itself — geometry, sinks, sources, ring bus, decap —
+and its validation live in :class:`~repro.pdn.mesh.MeshDesign`, which
+:class:`GridPDN` (DC) and :class:`GridACPDN` (AC) inherit.
+
 Solving is array-native: the mesh is assembled directly into a
 :class:`~repro.pdn.network.CompiledNetlist` (vectorized edge
 construction, no per-element Python objects) and the sparse LU
-factorization is cached on the grid, so repeated solves that only
-change the sink map or the source voltages — load sweeps, Monte-Carlo
-scenarios, droop-setpoint studies — pay back-substitution cost only.
-Attaching/removing sources or the ring bus changes the topology and
-transparently refactorizes.
+factorization is cached on the grid under the design's topology key,
+so repeated solves that only change the sink map or the source
+voltages — load sweeps, Monte-Carlo scenarios, droop-setpoint studies
+— pay back-substitution cost only.  Attaching/removing sources or the
+ring bus changes the key and transparently refactorizes.
 """
 
 from __future__ import annotations
@@ -53,32 +57,21 @@ from .mna import (
     FactorizedPDN,
     singularity_probe,
 )
+from .mesh import (  # STRUCTURED_AUTO_MIN_CELLS is re-exported
+    STRUCTURED_AUTO_MIN_CELLS,
+    MeshDesign,
+    check_engine,
+    check_map,
+    check_real,
+    mesh_edge_rows,
+    resolve_engine,
+)
 from .network import (
     GROUND_INDEX,
     CompiledNetlist,
     Netlist,
     admittance_stamp_entries,
 )
-from .powermap import PowerMap
-
-
-def mesh_edge_rows(nx: int, ny: int) -> tuple[np.ndarray, ...]:
-    """Endpoint row indices of a rectangular mesh's edges.
-
-    Grid node ``(ix, iy)`` occupies row ``iy * nx + ix``; returns
-    ``(x_a, x_b, y_a, y_b)`` — the endpoint arrays of the x-direction
-    and y-direction edges.  Degenerate axes (``nx == 1`` or
-    ``ny == 1``, the 1-D chains the AC ladder cross-checks use) simply
-    produce empty edge arrays.  Shared by the DC and AC mesh
-    assemblers so both stamp the identical lateral topology.
-    """
-    rows = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
-    return (
-        rows[:, :-1].ravel(),
-        rows[:, 1:].ravel(),
-        rows[:-1, :].ravel(),
-        rows[1:, :].ravel(),
-    )
 
 
 @dataclass(frozen=True)
@@ -138,20 +131,13 @@ class GridSolution:
         }
 
 
-#: ``engine="auto"`` meshes at or above this cell count solve through
-#: the structured (fast-Poisson) engine; smaller meshes stay on the
-#: cached sparse LU, whose warm back-substitutions are already cheap
-#: and whose cold factorization only starts to hurt past this size.
-STRUCTURED_AUTO_MIN_CELLS = 4096
-
-
 @dataclass
 class _GridStructure:
     """Cached assembly (and, lazily, factorization) of one topology.
 
-    ``key`` captures everything that shapes the MNA matrix (mesh
-    resistances, source attachment points and output resistances, ring
-    bus, per-edge variation).  Sink currents and source voltages are
+    Built for one :meth:`MeshDesign._topology_key` (mesh resistances,
+    source attachment points and output resistances, ring bus,
+    per-edge variation); sink currents and source voltages are
     RHS-only and do not participate.  Both engines are created on
     first use: the sparse LU factorization so that
     :meth:`GridPDN.compile` can hand out the array form without paying
@@ -160,7 +146,6 @@ class _GridStructure:
     for transforms.
     """
 
-    key: tuple
     compiled: CompiledNetlist
     grid_edge_count: int
     lateral_count: int  # grid edges + ring segments
@@ -189,7 +174,7 @@ class _GridStructure:
         return self._fast
 
 
-class GridPDN:
+class GridPDN(MeshDesign):
     """A rectangular one-polarity PDN grid over the die area.
 
     Args:
@@ -207,9 +192,12 @@ class GridPDN:
             :class:`~repro.pdn.fast_poisson.StructuredSolveError` when
             it cannot converge), or ``"factorized"`` (force the exact
             sparse-LU oracle).
+
+    The design setters (sinks, sources, ring bus) come from
+    :class:`~repro.pdn.mesh.MeshDesign`.
     """
 
-    _ENGINES = ("auto", "structured", "factorized")
+    ALLOWS_CHAINS = False
 
     def __init__(
         self,
@@ -221,53 +209,13 @@ class GridPDN:
         rail_pair_factor: float = 2.0,
         engine: str = "auto",
     ) -> None:
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 2 or ny < 2:
-            raise ConfigError("grid needs at least 2x2 nodes")
-        if rail_pair_factor < 1.0:
-            raise ConfigError("rail pair factor must be >= 1")
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
-        self.rail_pair_factor = rail_pair_factor
-        if engine not in self._ENGINES:
-            raise ConfigError(
-                f"unknown solve engine {engine!r}; expected one of "
-                f"{', '.join(self._ENGINES)}"
-            )
-        self.engine = engine
-        self._sources: list[tuple[str, int, int, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._edge_scale_x: np.ndarray | None = None
-        self._edge_scale_y: np.ndarray | None = None
-        self._mesh_edges_cache: tuple[np.ndarray, ...] | None = None
-        self._structure: _GridStructure | None = None
-        self._topology_dirty = True
+        super().__init__(width_m, height_m, sheet_ohm_sq, nx, ny)
+        self.rail_pair_factor = check_real(
+            "rail_pair_factor", rail_pair_factor, 1.0
+        )
+        self.engine = check_engine(engine)
 
     # -- construction ---------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach POL sinks from a power map (replaces existing sinks)."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach POL sinks from an explicit (ny, nx) current array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
 
     def add_source(
         self,
@@ -277,51 +225,11 @@ class GridPDN:
         voltage_v: float,
         output_resistance_ohm: float,
     ) -> None:
-        """Attach a regulator output at fractional die coordinates.
-
-        Sources snap to the nearest grid node.  ``output_resistance_ohm``
-        must be positive — it regularizes the solve and models the
-        converter's finite output impedance.
-        """
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm)
+        """Attach a regulator output at fractional die coordinates
+        (:meth:`MeshDesign.add_source` with no series inductance)."""
+        super().add_source(
+            name, x_frac, y_frac, voltage_v, output_resistance_ohm
         )
-        self._topology_dirty = True
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._topology_dirty = True
-
-    def connect_sources_with_ring_bus(self, segment_resistance_ohm: float) -> None:
-        """Join consecutive sources with a dedicated ring bus.
-
-        Periphery VR rings share a contiguous low-impedance metal ring
-        (the embedded passive/output ring of Fig. 5(a)), which
-        equalizes their load sharing; under-die VRs have no such bus.
-        Segments connect sources in attachment order (and close the
-        loop), each with the given one-polarity resistance.
-        """
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._topology_dirty = True
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
 
     def set_edge_resistance_scale(
         self, x_scale=None, y_scale=None
@@ -337,53 +245,27 @@ class GridPDN:
         preconditioned CG on the structured engine, or exactly through
         the factorized engine.
         """
-
-        def as_scale(value, shape, label: str) -> np.ndarray | None:
-            if value is None:
-                return None
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != shape:
-                raise ConfigError(
-                    f"{label} edge scale must be shaped {shape}"
-                )
-            if not np.all(arr > 0):
-                raise ConfigError(
-                    f"{label} edge scale factors must be positive"
-                )
-            return arr.copy()
-
-        self._edge_scale_x = as_scale(
-            x_scale, (self.ny, self.nx - 1), "x"
+        self._edge_scale_x = (
+            None
+            if x_scale is None
+            else check_map(
+                "x_scale", x_scale, (self.ny, self.nx - 1), positive=True
+            )
         )
-        self._edge_scale_y = as_scale(
-            y_scale, (self.ny - 1, self.nx), "y"
+        self._edge_scale_y = (
+            None
+            if y_scale is None
+            else check_map(
+                "y_scale", y_scale, (self.ny - 1, self.nx), positive=True
+            )
         )
-        self._topology_dirty = True
-
-    # -- edge resistances -------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
+        self._touch()
 
     # -- solving -----------------------------------------------------------------
 
     def build_netlist(self) -> Netlist:
         """Assemble the netlist for the current sinks and sources."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        self._check_attached()
         netlist = Netlist()
         rx = self.edge_resistance_x_ohm
         ry = self.edge_resistance_y_ohm
@@ -419,78 +301,34 @@ class GridPDN:
                         f"sink[{ix},{iy}]", node(ix, iy), current
                     )
 
-        for name, ix, iy, voltage, r_out in self._sources:
+        for s in self._sources:
             netlist.add_source_with_impedance(
-                f"src.{name}", node(ix, iy), voltage, r_out
+                f"src.{s.name}", node(s.ix, s.iy), s.voltage_v, s.r_out_ohm
             )
 
-        if self._ring_bus_ohm is not None:
-            count = len(self._sources)
-            for k in range(count):
-                _, ix_a, iy_a, _, _ = self._sources[k]
-                _, ix_b, iy_b, _, _ = self._sources[(k + 1) % count]
-                if (ix_a, iy_a) == (ix_b, iy_b):
-                    continue
-                netlist.add_resistor(
-                    f"ring[{k}]",
-                    node(ix_a, iy_a),
-                    node(ix_b, iy_b),
-                    self._ring_bus_ohm,
-                )
+        for k, a, b in zip(*self._ring_segments()):
+            (iy_a, ix_a), (iy_b, ix_b) = divmod(int(a), self.nx), divmod(int(b), self.nx)
+            netlist.add_resistor(
+                f"ring[{k}]",
+                node(ix_a, iy_a),
+                node(ix_b, iy_b),
+                self._ring_bus_ohm,
+            )
         return netlist
 
     # -- vectorized assembly / cached factorization ------------------------------
 
-    def _mesh_edges(self) -> tuple[np.ndarray, ...]:
-        """Mesh edge endpoints as row-index arrays (x edges, y edges).
-
-        Grid node (ix, iy) occupies row ``iy * nx + ix``; the arrays
-        depend only on (nx, ny) and are computed once per grid.
-        """
-        if self._mesh_edges_cache is None:
-            self._mesh_edges_cache = mesh_edge_rows(self.nx, self.ny)
-        return self._mesh_edges_cache
-
-    def _ring_segments(self) -> list[tuple[int, int, int]]:
-        """Ring-bus segments as (k, row_a, row_b), degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return []
-        segments: list[tuple[int, int, int]] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, _, _ = self._sources[k]
-            _, ix_b, iy_b, _, _ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            segments.append((k, iy_a * self.nx + ix_a, iy_b * self.nx + ix_b))
-        return segments
-
-    def _structure_key(self) -> tuple:
-        return (
-            self.edge_resistance_x_ohm,
-            self.edge_resistance_y_ohm,
-            tuple((name, ix, iy, r_out) for name, ix, iy, _, r_out in self._sources),
-            self._ring_bus_ohm,
-            None if self._edge_scale_x is None else self._edge_scale_x.tobytes(),
-            None if self._edge_scale_y is None else self._edge_scale_y.tobytes(),
-        )
-
-    def _build_structure(self, key: tuple) -> _GridStructure:
+    def _build_structure(self) -> _GridStructure:
         nx, ny = self.nx, self.ny
         cells = nx * ny
-        x_a, x_b, y_a, y_b = self._mesh_edges()
+        x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
         rx = self.edge_resistance_x_ohm
         ry = self.edge_resistance_y_ohm
-        sources = list(self._sources)
-        segments = self._ring_segments()
+        src_names = self.source_names
+        attach_rows, _, r_out, _ = self._source_arrays()
+        ring_k, ring_a, ring_b = self._ring_segments()
 
-        emf_rows = cells + np.arange(len(sources), dtype=np.int64)
-        attach_rows = np.array(
-            [iy * nx + ix for _, ix, iy, _, _ in sources], dtype=np.int64
-        )
-        ring_a = np.array([a for _, a, _ in segments], dtype=np.int64)
-        ring_b = np.array([b for _, _, b in segments], dtype=np.int64)
-
+        emf_rows = cells + np.arange(len(src_names), dtype=np.int64)
         res_a = np.concatenate([x_a, y_a, ring_a, emf_rows])
         res_b = np.concatenate([x_b, y_b, ring_b, attach_rows])
         r_x = np.full(x_a.size, rx)
@@ -500,12 +338,7 @@ class GridPDN:
         if self._edge_scale_y is not None:
             r_y *= self._edge_scale_y.ravel()
         res_ohm = np.concatenate(
-            [
-                r_x,
-                r_y,
-                np.full(len(segments), self._ring_bus_ohm or 0.0),
-                np.array([r_out for *_, r_out in sources]),
-            ]
+            [r_x, r_y, np.full(ring_k.size, self._ring_bus_ohm or 0.0), r_out]
         )
 
         def resistor_names() -> list[str]:
@@ -519,8 +352,8 @@ class GridPDN:
                 for iy in range(ny - 1)
                 for ix in range(nx)
             ]
-            names += [f"ring[{k}]" for k, _, _ in segments]
-            names += [f"src.{name}.rout" for name, *_ in sources]
+            names += [f"ring[{k}]" for k in ring_k]
+            names += [f"src.{name}.rout" for name in src_names]
             return names
 
         def sink_names() -> list[str]:
@@ -531,11 +364,11 @@ class GridPDN:
         def node_ids() -> tuple:
             return tuple(
                 ("g", ix, iy) for iy in range(ny) for ix in range(nx)
-            ) + tuple((f"src.{name}", "emf") for name, *_ in sources)
+            ) + tuple((f"src.{name}", "emf") for name in src_names)
 
         compiled = CompiledNetlist(
             nodes=node_ids,
-            n_nodes=cells + len(sources),
+            n_nodes=cells + len(src_names),
             res_a=res_a,
             res_b=res_b,
             res_ohm=res_ohm,
@@ -543,11 +376,11 @@ class GridPDN:
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
             cs_amp=np.zeros(cells),
             vs_plus=emf_rows,
-            vs_minus=np.full(len(sources), GROUND_INDEX, dtype=np.int64),
-            vs_volt=np.zeros(len(sources)),
+            vs_minus=np.full(len(src_names), GROUND_INDEX, dtype=np.int64),
+            vs_volt=np.zeros(len(src_names)),
             res_names=resistor_names,
             cs_names=sink_names,
-            vs_names=tuple(f"src.{name}.v" for name, *_ in sources),
+            vs_names=tuple(f"src.{name}.v" for name in src_names),
         )
         grid_edge_count = x_a.size + y_a.size
         fast_spec = dict(
@@ -556,56 +389,38 @@ class GridPDN:
             edge_conductance_x=1.0 / rx,
             edge_conductance_y=1.0 / ry,
             attach_rows=attach_rows,
-            source_conductance=np.array(
-                [1.0 / r_out for *_, r_out in sources]
-            ),
+            source_conductance=1.0 / r_out,
             ring_a=ring_a,
             ring_b=ring_b,
             ring_conductance=np.full(
-                len(segments), 1.0 / (self._ring_bus_ohm or 1.0)
+                ring_k.size, 1.0 / (self._ring_bus_ohm or 1.0)
             ),
             edge_scale_x=self._edge_scale_x,
             edge_scale_y=self._edge_scale_y,
         )
         return _GridStructure(
-            key=key,
             compiled=compiled,
             grid_edge_count=grid_edge_count,
-            lateral_count=grid_edge_count + len(segments),
+            lateral_count=grid_edge_count + ring_k.size,
             fast_spec=fast_spec,
         )
 
     def _ensure_structure(self) -> _GridStructure:
-        # The key is only recomputed after a topology mutator ran:
-        # steady-state sweep loops (N-1 scenarios, sink sweeps) skip
-        # the per-solve key construction entirely.
-        if self._structure is None or self._topology_dirty:
-            key = self._structure_key()
-            if self._structure is None or self._structure.key != key:
-                self._structure = self._build_structure(key)
-            self._topology_dirty = False
-        return self._structure
+        return self._cached("dc", self._build_structure)
+
+    @property
+    def _structure(self) -> _GridStructure | None:
+        """The last structure built, if any (tagged in ``_cache``)."""
+        return self._cache.get("dc", (None, None))[1]
 
     def compile(self) -> CompiledNetlist:
         """The grid as a compiled netlist with current sinks/voltages."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
-        return self._ensure_structure().compiled.with_sources(
-            cs_amp=np.ascontiguousarray(self._sink_map, dtype=float).ravel(),
-            vs_volt=np.array([s[3] for s in self._sources]),
-        )
+        structure, sinks, volts = self._solve_inputs()
+        return structure.compiled.with_sources(cs_amp=sinks, vs_volt=volts)
 
     def _resolve_engine(self) -> str:
         """The engine this solve will try first."""
-        if self.engine != "auto":
-            return self.engine
-        return (
-            "structured"
-            if self.nx * self.ny >= STRUCTURED_AUTO_MIN_CELLS
-            else "factorized"
-        )
+        return resolve_engine(self.engine, self.nx * self.ny)
 
     def _structured_call(self, structure: _GridStructure, run, fallback):
         """Run ``run`` on the structured engine, falling back to
@@ -664,10 +479,10 @@ class GridPDN:
                 "sink maps must be a stack of "
                 f"({self.ny}, {self.nx}) arrays"
             )
-        if np.any(stack < 0):
-            raise ConfigError("sink currents must be non-negative")
+        if not (np.all(np.isfinite(stack)) and np.all(stack >= 0)):
+            raise ConfigError("sink_maps must be finite and non-negative")
         structure = self._ensure_structure()
-        volts = np.array([s[3] for s in self._sources])
+        volts = self._source_arrays()[1]
         flat = np.ascontiguousarray(stack).reshape(
             stack.shape[0], self.nx * self.ny
         )
@@ -819,14 +634,10 @@ class GridPDN:
 
     def _solve_inputs(self) -> tuple[_GridStructure, np.ndarray, np.ndarray]:
         """Validate attachments and gather the per-scenario RHS data."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        self._check_attached()
         structure = self._ensure_structure()
-        sinks = np.ascontiguousarray(self._sink_map, dtype=float).ravel()
-        volts = np.array([s[3] for s in self._sources])
-        return structure, sinks, volts
+        sinks = self._sink_map.ravel()
+        return structure, sinks, self._source_arrays()[1]
 
     def _package_solution(
         self,
@@ -985,10 +796,8 @@ class _ReducedACStructure:
     Decap chains and source output branches are folded analytically
     into per-node shunt admittances and series edges into complex edge
     admittances, so the matrix is ``n_cells`` square at any frequency.
-    ``rev`` tags the topology revision this structure was built for.
     """
 
-    rev: int
     edge_r: np.ndarray  # per-edge series resistance (mesh + ring)
     edge_l: np.ndarray  # per-edge series inductance
     entry_rows: np.ndarray
@@ -1013,7 +822,6 @@ class _SpectralACStructure:
     updates plus a rank-s (source-branch) Woodbury correction.
     """
 
-    rev: int
     lam: np.ndarray  # generalized eigenvalues (n,)
     q: np.ndarray  # eigenvectors, Qᵀ D_α Q = I
     q_sq: np.ndarray  # Q ∘ Q, for diag(M⁻¹) gathers
@@ -1040,7 +848,6 @@ class _StructuredACStructure:
     batched inverse transform — no eigendecomposition, no LU, ever.
     """
 
-    rev: int
     lam: np.ndarray  # mesh Laplacian modal eigenvalues, (cells,)
     tau: float  # zero-mode deflation shift folded into lam[0]
     bx_sq: np.ndarray  # squared DCT basis, (nx_modes, nx_nodes)
@@ -1055,7 +862,7 @@ class _StructuredACStructure:
     ring_g: np.ndarray  # ring segment conductances, appended to k
 
 
-class GridACPDN:
+class GridACPDN(MeshDesign):
     """Grid-level AC impedance analysis of the die/interposer mesh.
 
     The AC counterpart of :class:`GridPDN`: the same rectangular
@@ -1080,345 +887,14 @@ class GridACPDN:
     generalized eigendecomposition; per-frequency work is a few small
     GEMMs) or directly (batched dense / shared-pattern sparse solves).
 
-    Unlike the DC grid, degenerate 1-D chains (``nx == 1`` or
-    ``ny == 1``) are allowed: they are the lattice the analytic ladder
-    model collapses onto, which the cross-validation tests exploit.
+    The constructor and design setters are
+    :class:`~repro.pdn.mesh.MeshDesign`'s.  Unlike the DC grid,
+    degenerate 1-D chains (``nx == 1`` or ``ny == 1``) are allowed:
+    they are the lattice the analytic ladder model collapses onto,
+    which the cross-validation tests exploit.
     """
 
-    def __init__(
-        self,
-        width_m: float,
-        height_m: float,
-        sheet_ohm_sq: float,
-        nx: int = 24,
-        ny: int = 24,
-        edge_inductance_x_h: float = 0.0,
-        edge_inductance_y_h: float = 0.0,
-    ) -> None:
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 1 or ny < 1 or nx * ny < 2:
-            raise ConfigError("grid needs at least two nodes")
-        if edge_inductance_x_h < 0 or edge_inductance_y_h < 0:
-            raise ConfigError("edge inductance must be non-negative")
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
-        self.edge_inductance_x_h = edge_inductance_x_h
-        self.edge_inductance_y_h = edge_inductance_y_h
-        # (name, ix, iy, voltage, r_out, l_src)
-        self._sources: list[tuple[str, int, int, float, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._decap: tuple | None = None
-        self._rev = 0  # matrix-shaping topology revision
-        self._sink_rev = 0
-        self._reduced: _ReducedACStructure | None = None
-        self._spectral: _SpectralACStructure | None = None
-        self._structured: _StructuredACStructure | None = None
-        self._compiled: tuple[int, int, CompiledACNetlist] | None = None
-
-    @classmethod
-    def from_grid(
-        cls, grid: GridPDN, source_inductance_h: float = 0.0
-    ) -> "GridACPDN":
-        """Mirror a DC grid's mesh, sinks, sources, and ring bus.
-
-        ``source_inductance_h`` adds the vertical bump/TSV loop
-        inductance in series with every copied VR output (the DC model
-        has no use for it).  Decap maps are attached separately.
-        """
-        pdn = cls(
-            grid.width_m,
-            grid.height_m,
-            grid.sheet_ohm_sq,
-            nx=grid.nx,
-            ny=grid.ny,
-        )
-        if grid._sink_map is not None:
-            pdn.set_sink_array(grid._sink_map)
-        for name, ix, iy, voltage, r_out in grid._sources:
-            pdn._add_source_at(
-                name, ix, iy, voltage, r_out, source_inductance_h
-            )
-        if grid._ring_bus_ohm is not None:
-            pdn._ring_bus_ohm = grid._ring_bus_ohm
-            pdn._rev += 1
-        return pdn
-
-    # -- construction -----------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach AC load magnitudes from a power map (phase 0)."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-        self._sink_rev += 1
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach AC load magnitudes from an explicit (ny, nx) array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
-        self._sink_rev += 1
-
-    def _add_source_at(
-        self,
-        name: str,
-        ix: int,
-        iy: int,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float,
-    ) -> None:
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if inductance_h < 0:
-            raise ConfigError("source inductance must be non-negative")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm, inductance_h)
-        )
-        self._rev += 1
-
-    def add_source(
-        self,
-        name: str,
-        x_frac: float,
-        y_frac: float,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float = 0.0,
-    ) -> None:
-        """Attach a VR output at fractional die coordinates.
-
-        As in :class:`GridPDN`, but with an optional series
-        ``inductance_h`` modeling the vertical bump/TSV loop between
-        the converter output and the mesh.
-        """
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._add_source_at(
-            name, ix, iy, voltage_v, output_resistance_ohm, inductance_h
-        )
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources (and any ring bus)."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._rev += 1
-
-    def connect_sources_with_ring_bus(
-        self, segment_resistance_ohm: float
-    ) -> None:
-        """Join consecutive sources with a dedicated ring bus
-        (:meth:`GridPDN.connect_sources_with_ring_bus` semantics)."""
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._rev += 1
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
-
-    # -- decap maps -------------------------------------------------------------
-
-    def set_decap_density(
-        self,
-        density,
-        cap_per_unit_f: float,
-        esr_per_unit_ohm: float = 0.0,
-        esl_per_unit_h: float = 0.0,
-    ) -> None:
-        """Attach decaps as a per-node *density* of one unit cell.
-
-        ``density`` (scalar or (ny, nx) array, >= 0) counts identical
-        unit cells — C with series ESR and ESL — in parallel at each
-        node, the way MIM/deep-trench decap budgets are allocated per
-        tile.  A strictly positive density map (plus purely resistive
-        mesh metal) unlocks the spectral impedance-map engine.
-        """
-        if cap_per_unit_f <= 0:
-            raise ConfigError("unit decap capacitance must be positive")
-        if esr_per_unit_ohm < 0 or esl_per_unit_h < 0:
-            raise ConfigError("unit decap ESR/ESL must be non-negative")
-        alpha = np.asarray(density, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.full((self.ny, self.nx), float(alpha))
-        if alpha.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"density map must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(alpha < 0):
-            raise ConfigError("decap density must be non-negative")
-        if not np.any(alpha > 0):
-            raise ConfigError("decap density map is all zero")
-        self._decap = (
-            "density",
-            alpha.copy(),
-            float(cap_per_unit_f),
-            float(esr_per_unit_ohm),
-            float(esl_per_unit_h),
-        )
-        self._rev += 1
-
-    def set_decap_map(self, cap_f, esr_ohm=0.0, esl_h=0.0) -> None:
-        """Attach arbitrary per-node decap maps.
-
-        ``cap_f``/``esr_ohm``/``esl_h`` are scalars or (ny, nx)
-        arrays; a node with zero capacitance carries no decap branch.
-        All-scalar arguments are equivalent to a uniform unit density
-        of one cell per node (and are stored that way, keeping the
-        spectral engine available); array arguments go through the
-        general direct engine.
-        """
-        if np.ndim(cap_f) == 0 and np.ndim(esr_ohm) == 0 and np.ndim(esl_h) == 0:
-            self.set_decap_density(
-                1.0, float(cap_f), float(esr_ohm), float(esl_h)
-            )
-            return
-
-        def as_map(value, label: str) -> np.ndarray:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full((self.ny, self.nx), float(arr))
-            if arr.shape != (self.ny, self.nx):
-                raise ConfigError(
-                    f"{label} map must be shaped ({self.ny}, {self.nx})"
-                )
-            if np.any(arr < 0):
-                raise ConfigError(f"{label} map must be non-negative")
-            return arr.copy()
-
-        c = as_map(cap_f, "capacitance")
-        if not np.any(c > 0):
-            raise ConfigError("capacitance map is all zero")
-        self._decap = ("map", c, as_map(esr_ohm, "ESR"), as_map(esl_h, "ESL"))
-        self._rev += 1
-
-    def scale_decap(self, factor: float) -> None:
-        """Multiply the attached decap allocation by ``factor``.
-
-        Semantically "add more unit cells in parallel": capacitance
-        scales up while ESR and ESL scale down, for either decap
-        representation.  The decap sizing search is built on this.
-        """
-        if factor <= 0:
-            raise ConfigError("decap scale factor must be positive")
-        if self._decap is None:
-            raise ConfigError("no decaps attached; set a decap map first")
-        if self._decap[0] == "density":
-            _, alpha, c, esr, esl = self._decap
-            self._decap = ("density", alpha * factor, c, esr, esl)
-        else:
-            _, c, esr, esl = self._decap
-            self._decap = ("map", c * factor, esr / factor, esl / factor)
-        self._rev += 1
-
-    def decap_snapshot(self) -> tuple:
-        """The exact decap state, for :meth:`restore_decap`.
-
-        Captures the stored representation (kind, arrays, unit values)
-        plus the topology revision, so a search that mutates the
-        allocation — :func:`~repro.pdn.impedance.size_grid_decap_for_target`,
-        the placement optimizer — can put the grid back bit-exactly
-        instead of round-tripping values through lossy scale factors.
-        """
-        if self._decap is None:
-            state: tuple | None = None
-        else:
-            state = tuple(
-                part.copy() if isinstance(part, np.ndarray) else part
-                for part in self._decap
-            )
-        return (state, self._rev)
-
-    def restore_decap(self, snapshot: tuple) -> None:
-        """Restore a :meth:`decap_snapshot` bit-exactly.
-
-        The topology revision is restored too, so structures cached
-        *before* the snapshot stay valid; any structure built at an
-        intermediate revision (which could alias a future revision
-        number once the counter is rewound) is dropped.
-        """
-        state, rev = snapshot
-        if state is None:
-            self._decap = None
-        else:
-            self._decap = tuple(
-                part.copy() if isinstance(part, np.ndarray) else part
-                for part in state
-            )
-        self._rev = rev
-        if self._reduced is not None and self._reduced.rev != rev:
-            self._reduced = None
-        if self._spectral is not None and self._spectral.rev != rev:
-            self._spectral = None
-        if self._structured is not None and self._structured.rev != rev:
-            self._structured = None
-        if self._compiled is not None and self._compiled[0] != rev:
-            self._compiled = None
-
-    @property
-    def total_decap_farad(self) -> float:
-        """Total attached decoupling capacitance over the mesh."""
-        if self._decap is None:
-            return 0.0
-        return float(self._decap_arrays()[0].sum())
-
-    def _decap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened per-node (C, ESR, ESL) arrays; zero C = no decap."""
-        cells = self.nx * self.ny
-        if self._decap is None:
-            zero = np.zeros(cells)
-            return zero, zero.copy(), zero.copy()
-        if self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            alpha = alpha.ravel()
-            live = alpha > 0
-            c = np.where(live, alpha * c_u, 0.0)
-            with np.errstate(divide="ignore"):
-                esr = np.where(live, esr_u / np.where(live, alpha, 1.0), 0.0)
-                esl = np.where(live, esl_u / np.where(live, alpha, 1.0), 0.0)
-            return c, esr, esl
-        _, c, esr, esl = self._decap
-        return c.ravel().copy(), esr.ravel().copy(), esl.ravel().copy()
-
-    # -- edge parameters --------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        if self.nx < 2:
-            raise ConfigError("a 1-wide grid has no x edges")
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        if self.ny < 2:
-            raise ConfigError("a 1-tall grid has no y edges")
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
+    ALLOWS_CHAINS = True
 
     def _edge_arrays(self) -> tuple[np.ndarray, ...]:
         """All constant-topology edges: mesh x, mesh y, ring segments.
@@ -1427,42 +903,24 @@ class GridACPDN:
         resistance and inductance.
         """
         x_a, x_b, y_a, y_b = mesh_edge_rows(self.nx, self.ny)
-        ring = self._ring_segments()
-        ring_a = np.array([a for a, _ in ring], dtype=np.int64)
-        ring_b = np.array([b for _, b in ring], dtype=np.int64)
+        _, ring_a, ring_b = self._ring_segments()
         a = np.concatenate([x_a, y_a, ring_a])
         b = np.concatenate([x_b, y_b, ring_b])
         r = np.concatenate(
             [
                 np.full(x_a.size, self.edge_resistance_x_ohm if x_a.size else 0.0),
                 np.full(y_a.size, self.edge_resistance_y_ohm if y_a.size else 0.0),
-                np.full(len(ring), self._ring_bus_ohm or 0.0),
+                np.full(ring_a.size, self._ring_bus_ohm or 0.0),
             ]
         )
         l = np.concatenate(
             [
                 np.full(x_a.size, self.edge_inductance_x_h),
                 np.full(y_a.size, self.edge_inductance_y_h),
-                np.zeros(len(ring)),
+                np.zeros(ring_a.size),
             ]
         )
         return a, b, r, l
-
-    def _ring_segments(self) -> list[tuple[int, int]]:
-        """Ring-bus segments as (row_a, row_b), degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return []
-        segments: list[tuple[int, int]] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, *_ = self._sources[k]
-            _, ix_b, iy_b, *_ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            segments.append(
-                (iy_a * self.nx + ix_a, iy_b * self.nx + ix_b)
-            )
-        return segments
 
     # -- shunt admittances ------------------------------------------------------
 
@@ -1484,15 +942,8 @@ class GridACPDN:
 
     def _source_admittance(self, omega: np.ndarray) -> np.ndarray:
         """Per-source zeroed-EMF branch admittance, (n_freqs, s)."""
-        rout = np.array([s[4] for s in self._sources])
-        l_src = np.array([s[5] for s in self._sources])
+        _, _, rout, l_src = self._source_arrays()
         return 1.0 / (rout[None, :] + 1j * omega[:, None] * l_src[None, :])
-
-    def _source_attach_rows(self) -> np.ndarray:
-        return np.array(
-            [iy * self.nx + ix for _, ix, iy, *_ in self._sources],
-            dtype=np.int64,
-        )
 
     # -- impedance map ----------------------------------------------------------
 
@@ -1647,8 +1098,9 @@ class GridACPDN:
         return bool(np.all(alpha == alpha.flat[0]))
 
     def _ensure_spectral(self) -> _SpectralACStructure:
-        if self._spectral is not None and self._spectral.rev == self._rev:
-            return self._spectral
+        return self._cached("spectral", self._build_spectral)
+
+    def _build_spectral(self) -> _SpectralACStructure:
         cells = self.nx * self.ny
         a, b, r, _ = self._edge_arrays()
         rows, cols, vals = admittance_stamp_entries(a, b, 1.0 / r)
@@ -1662,21 +1114,19 @@ class GridACPDN:
         dinv = 1.0 / np.sqrt(alpha)
         lam, v = np.linalg.eigh(g * dinv[:, None] * dinv[None, :])
         q = dinv[:, None] * v
-        attach = self._source_attach_rows()
-        self._spectral = _SpectralACStructure(
-            rev=self._rev,
+        attach, _, rout, l_src = self._source_arrays()
+        return _SpectralACStructure(
             lam=lam,
             q=q,
             q_sq=q * q,
             p=q[attach, :].T.copy(),
             attach=attach,
-            rout=np.array([s[4] for s in self._sources]),
-            l_src=np.array([s[5] for s in self._sources]),
+            rout=rout,
+            l_src=l_src,
             unit_c=c_u,
             unit_esr=esr_u,
             unit_esl=esl_u,
         )
-        return self._spectral
 
     def _impedance_spectral(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the cached eigenbasis, shape (cells, n_freqs).
@@ -1720,11 +1170,9 @@ class GridACPDN:
         return diag.T
 
     def _ensure_structured(self) -> _StructuredACStructure:
-        if (
-            self._structured is not None
-            and self._structured.rev == self._rev
-        ):
-            return self._structured
+        return self._cached("structured", self._build_structured)
+
+    def _build_structured(self) -> _StructuredACStructure:
         import scipy.fft as sfft
 
         nx, ny = self.nx, self.ny
@@ -1735,8 +1183,8 @@ class GridACPDN:
             gy * poisson_mode_eigenvalues(ny)[:, None]
             + gx * poisson_mode_eigenvalues(nx)[None, :]
         ).ravel()
-        attach = self._source_attach_rows()
-        ring = self._ring_segments()
+        attach, _, rout, l_src = self._source_arrays()
+        _, ring_a, ring_b = self._ring_segments()
         # Deflate the mesh zero mode: at low frequency 1/(α·y_u) dwarfs
         # every other modal weight and its near-exact cancellation by
         # the source correction destroys ~5 digits.  Shift lam[0] by
@@ -1748,13 +1196,13 @@ class GridACPDN:
         if defl:
             lam = lam.copy()
             lam[0] += tau
-        k = defl + attach.size + len(ring)
+        k = defl + attach.size + ring_a.size
         u = np.zeros((cells, k))
         if defl:
             u[:, 0] = 1.0 / math.sqrt(cells)
         for t, row in enumerate(attach, start=defl):
             u[row, t] += 1.0
-        for t, (a, b) in enumerate(ring, start=defl + attach.size):
+        for t, (a, b) in enumerate(zip(ring_a, ring_b), start=defl + attach.size):
             u[a, t] += 1.0
             u[b, t] -= 1.0
         u_hat = (
@@ -1765,8 +1213,7 @@ class GridACPDN:
             else u
         )
         _, alpha_map, c_u, esr_u, esl_u = self._decap
-        self._structured = _StructuredACStructure(
-            rev=self._rev,
+        return _StructuredACStructure(
             lam=lam,
             tau=tau if defl else 0.0,
             bx_sq=dct2_basis(nx) ** 2,
@@ -1776,11 +1223,10 @@ class GridACPDN:
             unit_c=c_u,
             unit_esr=esr_u,
             unit_esl=esl_u,
-            rout=np.array([s[4] for s in self._sources]),
-            l_src=np.array([s[5] for s in self._sources]),
-            ring_g=np.full(len(ring), 1.0 / (self._ring_bus_ohm or 1.0)),
+            rout=rout,
+            l_src=l_src,
+            ring_g=np.full(ring_a.size, 1.0 / (self._ring_bus_ohm or 1.0)),
         )
-        return self._structured
 
     def _impedance_structured(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the DCT eigenstructure, shape (cells, F).
@@ -1868,8 +1314,9 @@ class GridACPDN:
         return z
 
     def _ensure_reduced(self) -> _ReducedACStructure:
-        if self._reduced is not None and self._reduced.rev == self._rev:
-            return self._reduced
+        return self._cached("reduced", self._build_reduced)
+
+    def _build_reduced(self) -> _ReducedACStructure:
         cells = self.nx * self.ny
         a, b, r, l = self._edge_arrays()
         rows, cols, edge, sign = _admittance_entry_map(a, b)
@@ -1879,8 +1326,7 @@ class GridACPDN:
         order, starts, csc_rows, csc_cols, indptr = shared_csc_pattern(
             all_rows, all_cols, cells
         )
-        self._reduced = _ReducedACStructure(
-            rev=self._rev,
+        return _ReducedACStructure(
             edge_r=r,
             edge_l=l,
             entry_rows=all_rows,
@@ -1893,7 +1339,6 @@ class GridACPDN:
             csc_cols=csc_cols,
             indptr=indptr,
         )
-        return self._reduced
 
     def _reduced_csc_data(
         self, structure: _ReducedACStructure, omega: np.ndarray
@@ -1906,7 +1351,7 @@ class GridACPDN:
         )
         shunt = self._decap_admittance(omega)
         y_src = self._source_admittance(omega)
-        attach = self._source_attach_rows()
+        attach = self._source_arrays()[0]
         np.add.at(shunt, (slice(None), attach), y_src)
         vals = np.concatenate(
             [
@@ -2010,23 +1455,22 @@ class GridACPDN:
         AC load magnitudes, and each source as an ideal EMF behind its
         output resistance and bump/TSV inductance — array assembly
         straight into :meth:`CompiledACNetlist.from_arrays`, no
-        per-element Python objects.
+        per-element Python objects.  Cached per topology key, sink
+        map and source voltages.
         """
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
-        if (
-            self._compiled is not None
-            and self._compiled[0] == self._rev
-            and self._compiled[1] == self._sink_rev
-        ):
-            return self._compiled[2]
+        self._check_attached()
+        return self._cached(
+            "driven",
+            self._build_driven,
+            self._sink_map.tobytes(),
+            self._source_arrays()[1].tobytes(),
+        )
 
+    def _build_driven(self) -> CompiledACNetlist:
         nx, ny = self.nx, self.ny
         cells = nx * ny
         x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
-        ring = self._ring_segments()
+        _, ring_a, ring_b = self._ring_segments()
         c_map, esr_map, esl_map = self._decap_arrays()
         has_c = c_map > 0
         has_r = has_c & (esr_map > 0)
@@ -2079,10 +1523,10 @@ class GridACPDN:
             self.edge_inductance_y_h,
             "y",
         )
-        if ring:
-            res_a.append(np.array([a for a, _ in ring], dtype=np.int64))
-            res_b.append(np.array([b for _, b in ring], dtype=np.int64))
-            res_v.append(np.full(len(ring), self._ring_bus_ohm))
+        if ring_a.size:
+            res_a.append(ring_a)
+            res_b.append(ring_b)
+            res_v.append(np.full(ring_a.size, self._ring_bus_ohm))
 
         # Decap chains: node —C→ [first] —ESR→ [second] —ESL→ ground,
         # with stages collapsing away wherever ESR/ESL are zero.
@@ -2135,7 +1579,7 @@ class GridACPDN:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(parts).astype(dtype, copy=False)
 
-        compiled = CompiledACNetlist.from_arrays(
+        return CompiledACNetlist.from_arrays(
             nodes=tuple(nodes),
             res_a=cat(res_a, np.int64),
             res_b=cat(res_b, np.int64),
@@ -2151,10 +1595,8 @@ class GridACPDN:
             vs_volt=np.array(vs_volt),
             cs_from=mesh_rows,
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
-            cs_amp=np.ascontiguousarray(self._sink_map, dtype=float).ravel(),
+            cs_amp=self._sink_map.ravel().copy(),
         )
-        self._compiled = (self._rev, self._sink_rev, compiled)
-        return compiled
 
     def solve(self, frequencies_hz: np.ndarray) -> GridACSweepSolution:
         """Driven phasor sweep: sources at their EMFs, sinks as AC

@@ -64,9 +64,15 @@ from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError
 from .fast_poisson import FastPoissonOperator, StructuredGridPDN, StructuredSolveError
-from .grid import GridPDN, STRUCTURED_AUTO_MIN_CELLS, mesh_edge_rows
+from .grid import GridPDN
+from .mesh import (
+    MeshDesign,
+    check_engine,
+    check_real,
+    mesh_edge_rows,
+    resolve_engine,
+)
 from .network import GROUND_INDEX, CompiledNetlist
-from .powermap import PowerMap
 from .transient import droop_and_settle
 
 #: The structured engine carries decap-map non-uniformity as Woodbury
@@ -294,7 +300,6 @@ class _TransientStructure:
         dec_esr: np.ndarray,
         dec_esl: np.ndarray,
         attach: np.ndarray,
-        volt: np.ndarray,
         rout: np.ndarray,
         l_src: np.ndarray,
     ) -> None:
@@ -332,7 +337,6 @@ class _TransientStructure:
 
         # VR output companions.
         self.attach = attach
-        self.volt = volt
         self.w_s = 2.0 * l_src / h
         self.g_s = 1.0 / (rout + self.w_s)
         self.g_dc = 1.0 / rout
@@ -541,7 +545,7 @@ class _TransientStructure:
         return self._dc_fast
 
 
-class GridTransientPDN:
+class GridTransientPDN(MeshDesign):
     """Time-domain load-step analysis on the die/interposer mesh.
 
     The transient counterpart of :class:`~repro.pdn.grid.GridACPDN`:
@@ -561,7 +565,13 @@ class GridTransientPDN:
       multi-RHS back-substitutions;
     * :meth:`simulate_step` — the classic load step, scaled over the
       attached sink map, with a DC-exact settle reference.
+
+    The constructor and design setters are
+    :class:`~repro.pdn.mesh.MeshDesign`'s, plus ``engine`` (as for
+    :class:`~repro.pdn.grid.GridPDN`).
     """
+
+    ALLOWS_CHAINS = True
 
     def __init__(
         self,
@@ -574,32 +584,16 @@ class GridTransientPDN:
         edge_inductance_y_h: float = 0.0,
         engine: str = "auto",
     ) -> None:
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 1 or ny < 1 or nx * ny < 2:
-            raise ConfigError("grid needs at least two nodes")
-        if edge_inductance_x_h < 0 or edge_inductance_y_h < 0:
-            raise ConfigError("edge inductance must be non-negative")
-        if engine not in ("auto", "structured", "factorized"):
-            raise ConfigError(
-                "engine must be 'auto', 'structured', or 'factorized'"
-            )
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
-        self.edge_inductance_x_h = edge_inductance_x_h
-        self.edge_inductance_y_h = edge_inductance_y_h
-        self.engine = engine
-        # (name, ix, iy, voltage, r_out, l_src)
-        self._sources: list[tuple[str, int, int, float, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._decap: tuple | None = None
-        self._structures: dict[tuple, _TransientStructure] = {}
+        super().__init__(
+            width_m,
+            height_m,
+            sheet_ohm_sq,
+            nx,
+            ny,
+            edge_inductance_x_h,
+            edge_inductance_y_h,
+        )
+        self.engine = check_engine(engine)
 
     @classmethod
     def from_grid(
@@ -608,316 +602,47 @@ class GridTransientPDN:
         source_inductance_h: float = 0.0,
         engine: str = "auto",
     ) -> "GridTransientPDN":
-        """Mirror a DC grid's mesh, sinks, sources, and ring bus.
-
-        ``source_inductance_h`` adds the vertical bump/TSV loop
-        inductance in series with every copied VR output.  Decap maps
-        are attached separately.  Per-edge variation has no transient
-        companion path, so scaled grids are rejected.
-        """
-        if grid._edge_scale_x is not None or grid._edge_scale_y is not None:
-            raise ConfigError(
-                "the transient engine does not support per-edge "
-                "variation; build from an unscaled grid"
-            )
-        pdn = cls(
-            grid.width_m,
-            grid.height_m,
-            grid.sheet_ohm_sq,
-            nx=grid.nx,
-            ny=grid.ny,
-            engine=engine,
-        )
-        if grid._sink_map is not None:
-            pdn.set_sink_array(grid._sink_map)
-        for name, ix, iy, voltage, r_out in grid._sources:
-            pdn._add_source_at(
-                name, ix, iy, voltage, r_out, source_inductance_h
-            )
-        if grid._ring_bus_ohm is not None:
-            pdn._ring_bus_ohm = grid._ring_bus_ohm
+        """Mirror a DC grid (:meth:`MeshDesign.from_grid`) for the given
+        solve ``engine``."""
+        pdn = super().from_grid(grid, source_inductance_h)
+        pdn.engine = check_engine(engine)
         return pdn
-
-    # -- construction -----------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach the load's spatial profile from a power map."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach the load's spatial profile as an explicit (ny, nx) array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
-
-    def _add_source_at(
-        self,
-        name: str,
-        ix: int,
-        iy: int,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float,
-    ) -> None:
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if inductance_h < 0:
-            raise ConfigError("source inductance must be non-negative")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm, inductance_h)
-        )
-        self._structures.clear()
-
-    def add_source(
-        self,
-        name: str,
-        x_frac: float,
-        y_frac: float,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float = 0.0,
-    ) -> None:
-        """Attach a VR output at fractional die coordinates
-        (:meth:`GridACPDN.add_source` semantics)."""
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._add_source_at(
-            name, ix, iy, voltage_v, output_resistance_ohm, inductance_h
-        )
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources (and any ring bus)."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._structures.clear()
-
-    def connect_sources_with_ring_bus(
-        self, segment_resistance_ohm: float
-    ) -> None:
-        """Join consecutive sources with a dedicated ring bus."""
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._structures.clear()
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
-
-    # -- decap maps (GridACPDN semantics) ----------------------------------------
-
-    def set_decap_density(
-        self,
-        density,
-        cap_per_unit_f: float,
-        esr_per_unit_ohm: float = 0.0,
-        esl_per_unit_h: float = 0.0,
-    ) -> None:
-        """Attach decaps as a per-node *density* of one unit cell.
-
-        A uniform density keeps the per-node shunt conductance uniform,
-        which is what makes the structured engine's correction rank
-        stay small.
-        """
-        if cap_per_unit_f <= 0:
-            raise ConfigError("unit decap capacitance must be positive")
-        if esr_per_unit_ohm < 0 or esl_per_unit_h < 0:
-            raise ConfigError("unit decap ESR/ESL must be non-negative")
-        alpha = np.asarray(density, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.full((self.ny, self.nx), float(alpha))
-        if alpha.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"density map must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(alpha < 0):
-            raise ConfigError("decap density must be non-negative")
-        if not np.any(alpha > 0):
-            raise ConfigError("decap density map is all zero")
-        self._decap = (
-            "density",
-            alpha.copy(),
-            float(cap_per_unit_f),
-            float(esr_per_unit_ohm),
-            float(esl_per_unit_h),
-        )
-        self._structures.clear()
-
-    def set_decap_map(self, cap_f, esr_ohm=0.0, esl_h=0.0) -> None:
-        """Attach arbitrary per-node decap maps (scalars broadcast; a
-        node with zero capacitance carries no decap branch)."""
-        if np.ndim(cap_f) == 0 and np.ndim(esr_ohm) == 0 and np.ndim(esl_h) == 0:
-            self.set_decap_density(
-                1.0, float(cap_f), float(esr_ohm), float(esl_h)
-            )
-            return
-
-        def as_map(value, label: str) -> np.ndarray:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full((self.ny, self.nx), float(arr))
-            if arr.shape != (self.ny, self.nx):
-                raise ConfigError(
-                    f"{label} map must be shaped ({self.ny}, {self.nx})"
-                )
-            if np.any(arr < 0):
-                raise ConfigError(f"{label} map must be non-negative")
-            return arr.copy()
-
-        c = as_map(cap_f, "capacitance")
-        if not np.any(c > 0):
-            raise ConfigError("capacitance map is all zero")
-        self._decap = ("map", c, as_map(esr_ohm, "ESR"), as_map(esl_h, "ESL"))
-        self._structures.clear()
-
-    @property
-    def total_decap_farad(self) -> float:
-        """Total attached decoupling capacitance over the mesh."""
-        if self._decap is None:
-            return 0.0
-        return float(self._decap_arrays()[0].sum())
-
-    def _decap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened per-node (C, ESR, ESL) arrays; zero C = no decap."""
-        cells = self.nx * self.ny
-        if self._decap is None:
-            zero = np.zeros(cells)
-            return zero, zero.copy(), zero.copy()
-        if self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            alpha = alpha.ravel()
-            live = alpha > 0
-            c = np.where(live, alpha * c_u, 0.0)
-            with np.errstate(divide="ignore"):
-                esr = np.where(live, esr_u / np.where(live, alpha, 1.0), 0.0)
-                esl = np.where(live, esl_u / np.where(live, alpha, 1.0), 0.0)
-            return c, esr, esl
-        _, c, esr, esl = self._decap
-        return c.ravel().copy(), esr.ravel().copy(), esl.ravel().copy()
-
-    # -- edge parameters --------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        if self.nx < 2:
-            raise ConfigError("a 1-wide grid has no x edges")
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        if self.ny < 2:
-            raise ConfigError("a 1-tall grid has no y edges")
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
-
-    def _ring_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ring-bus segment endpoint rows, degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        rows_a: list[int] = []
-        rows_b: list[int] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, *_ = self._sources[k]
-            _, ix_b, iy_b, *_ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            rows_a.append(iy_a * self.nx + ix_a)
-            rows_b.append(iy_b * self.nx + ix_b)
-        return (
-            np.asarray(rows_a, dtype=np.int64),
-            np.asarray(rows_b, dtype=np.int64),
-        )
 
     # -- structure cache --------------------------------------------------------
 
-    def _structure_key(self, dt_s: float) -> tuple:
-        if self._decap is None:
-            decap_key: tuple = ("none",)
-        elif self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            decap_key = ("density", alpha.tobytes(), c_u, esr_u, esl_u)
-        else:
-            _, c, esr, esl = self._decap
-            decap_key = ("map", c.tobytes(), esr.tobytes(), esl.tobytes())
-        return (
+    def _structure(self, dt_s: float) -> _TransientStructure:
+        """The companion-model structure for this topology and Δt."""
+        # One Δt-keyed table per topology key: a topology edit retires
+        # the structures of every time step at once.
+        by_dt = self._cached("transient", dict)
+        if dt_s not in by_dt:
+            by_dt[dt_s] = self._build_structure(dt_s)
+        return by_dt[dt_s]
+
+    def _build_structure(self, dt_s: float) -> _TransientStructure:
+        _, ring_a, ring_b = self._ring_segments()
+        attach, _, rout, l_src = self._source_arrays()
+        return _TransientStructure(
             self.nx,
             self.ny,
-            self.width_m,
-            self.height_m,
-            self.sheet_ohm_sq,
+            dt_s,
+            self.edge_resistance_x_ohm if self.nx > 1 else None,
+            self.edge_resistance_y_ohm if self.ny > 1 else None,
             self.edge_inductance_x_h,
             self.edge_inductance_y_h,
-            tuple((ix, iy, v, r, l) for _, ix, iy, v, r, l in self._sources),
+            ring_a,
+            ring_b,
             self._ring_bus_ohm,
-            decap_key,
-            float(dt_s),
+            *self._decap_arrays(),
+            attach,
+            rout,
+            l_src,
         )
-
-    def _structure(self, dt_s: float) -> _TransientStructure:
-        key = self._structure_key(dt_s)
-        structure = self._structures.get(key)
-        if structure is None:
-            ring_a, ring_b = self._ring_segments()
-            dec_c, dec_esr, dec_esl = self._decap_arrays()
-            attach = np.asarray(
-                [iy * self.nx + ix for _, ix, iy, *_ in self._sources],
-                dtype=np.int64,
-            )
-            structure = _TransientStructure(
-                self.nx,
-                self.ny,
-                dt_s,
-                self.edge_resistance_x_ohm if self.nx > 1 else None,
-                self.edge_resistance_y_ohm if self.ny > 1 else None,
-                self.edge_inductance_x_h,
-                self.edge_inductance_y_h,
-                ring_a,
-                ring_b,
-                self._ring_bus_ohm,
-                dec_c,
-                dec_esr,
-                dec_esl,
-                attach,
-                np.asarray([s[3] for s in self._sources], dtype=float),
-                np.asarray([s[4] for s in self._sources], dtype=float),
-                np.asarray([s[5] for s in self._sources], dtype=float),
-            )
-            self._structures[key] = structure
-        return structure
 
     # -- simulation -------------------------------------------------------------
 
     def _resolve_engine(self) -> str:
-        if self.engine != "auto":
-            return self.engine
-        return (
-            "structured"
-            if self.nx * self.ny >= STRUCTURED_AUTO_MIN_CELLS
-            else "factorized"
-        )
+        return resolve_engine(self.engine, self.nx * self.ny)
 
     def _probe_rows(self, probe_nodes) -> tuple[int, ...]:
         rows: list[int] = []
@@ -952,8 +677,12 @@ class GridTransientPDN:
             )
         if arr.shape[1] < 2:
             raise ConfigError("waveforms need at least two samples")
-        if np.any(arr < 0):
-            raise ConfigError("sink-current waveforms must be non-negative")
+        # NaN fails the comparison and +inf the sum: two cheap passes
+        # over what can be a very large array.
+        if not (np.all(arr >= 0) and np.isfinite(arr.sum())):
+            raise ConfigError(
+                "sink-current waveforms must be finite and non-negative"
+            )
         return np.ascontiguousarray(arr)
 
     def simulate(
@@ -1009,12 +738,12 @@ class GridTransientPDN:
         post-step DC solution (one extra solve), matching
         :meth:`PDNTransient.simulate_step` semantics.
         """
-        if duration_s <= 0 or dt_s <= 0:
-            raise ConfigError("duration and dt must be positive")
+        duration_s = check_real("duration_s", duration_s, 0.0, strict=True)
+        dt_s = check_real("dt_s", dt_s, 0.0, strict=True)
         if duration_s < 10 * dt_s:
             raise ConfigError("duration must cover at least 10 steps")
-        if i_before_a < 0 or i_after_a < 0:
-            raise ConfigError("load currents must be non-negative")
+        i_before_a = check_real("i_before_a", i_before_a, 0.0)
+        i_after_a = check_real("i_after_a", i_after_a, 0.0)
         if self._sink_map is None:
             raise ConfigError(
                 "attach a sink map first (set_sinks/set_sink_array)"
@@ -1046,29 +775,31 @@ class GridTransientPDN:
         settle_band_v: float | None,
         final_load: np.ndarray | None,
     ) -> list[GridTransientResult]:
-        if dt_s <= 0:
-            raise ConfigError("dt must be positive")
+        dt_s = check_real("dt_s", dt_s, 0.0, strict=True)
         if not self._sources:
             raise ConfigError("attach at least one source first")
         structure = self._structure(dt_s)
+        # Source voltages are right-hand-side data, read per run.
+        volt = self._source_arrays()[1]
         mode = self._resolve_engine()
         if mode == "structured":
             try:
                 return self._run(
-                    structure, waves, probe_rows, settle_band_v,
+                    structure, volt, waves, probe_rows, settle_band_v,
                     final_load, "structured",
                 )
             except StructuredSolveError:
                 if self.engine == "structured":
                     raise
         return self._run(
-            structure, waves, probe_rows, settle_band_v,
+            structure, volt, waves, probe_rows, settle_band_v,
             final_load, "factorized",
         )
 
     def _run(
         self,
         st: _TransientStructure,
+        volt: np.ndarray,
         waves: np.ndarray,
         probe_rows: tuple[int, ...],
         settle_band_v: float | None,
@@ -1104,7 +835,6 @@ class GridTransientPDN:
                     dc_solver.solve_many(np.ascontiguousarray(b.T)).T
                 )
 
-        volt = st.volt
         attach = st.attach
         src_inject = st.g_dc * volt  # DC source Norton injection
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SolverError
-from repro.pdn.grid import GridPDN
+from repro.pdn.decap_placement import optimize_decap_placement
+from repro.pdn.grid import GridACPDN, GridPDN
+from repro.pdn.grid_transient import GridTransientPDN
 from repro.pdn.mna import FactorizedPDN, solve_dc
 from repro.pdn.network import GROUND_INDEX, CompiledNetlist, Netlist
 from repro.pdn.powermap import PowerMap
@@ -232,6 +234,118 @@ def hotspot_grid(n: int = 12) -> GridPDN:
     grid.add_source("a", 0.0, 0.5, 1.0, 1e-3)
     grid.add_source("b", 1.0, 0.5, 1.0, 1e-3)
     return grid
+
+
+class TestTopologyKeyCache:
+    """One content key tags every cached structure of all three grids:
+    right-hand-side edits (sinks, source voltages) keep the structure,
+    topology edits (source move, ring, decap) replace it."""
+
+    FREQS = np.logspace(5, 8, 4)
+    DT = 1e-9
+    SITES = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+    def design(self, cls):
+        grid = cls(0.02, 0.02, 1e-3, nx=8, ny=8)
+        grid.set_sinks(PowerMap.hotspot_mixture(), 50.0)
+        self.reattach(grid, 1.0, self.SITES)
+        if cls is not GridPDN:
+            grid.set_decap_density(1.0, 1e-7, 1e-3, 1e-12)
+        return grid
+
+    def structure(self, grid):
+        """Run the class's analysis; return the structure it used."""
+        if isinstance(grid, GridPDN):
+            grid.solve()
+            return grid._structure
+        if isinstance(grid, GridACPDN):
+            grid.impedance_map(self.FREQS)
+            grid.solve(self.FREQS)
+            return grid._ensure_structured(), grid.compile_ac()
+        grid.simulate_step(10.0, 40.0, duration_s=20 * self.DT, dt_s=self.DT)
+        return grid._structure(self.DT)
+
+    def reattach(self, grid, volts, sites):
+        grid.clear_sources()
+        for k, (x, y) in enumerate(sites):
+            grid.add_source(f"vr{k}", x, y, volts, 1e-3)
+
+    EDITS = {
+        "sinks": (lambda self, g: g.set_sinks(PowerMap.uniform(), 30.0), True),
+        "voltages": (lambda self, g: self.reattach(g, 0.95, self.SITES), True),
+        "source move": (
+            lambda self, g: self.reattach(g, 1.0, ((0.5, 0.5),) + self.SITES[1:]),
+            False,
+        ),
+        "ring": (lambda self, g: g.connect_sources_with_ring_bus(1e-3), False),
+        "decap": (lambda self, g: g.scale_decap(2.0), False),
+    }
+
+    def answer(self, grid):
+        if isinstance(grid, GridPDN):
+            return grid.solve().voltage_map
+        if isinstance(grid, GridACPDN):
+            return grid.impedance_map(self.FREQS).z_ohm
+        return grid.simulate_step(
+            10.0, 40.0, duration_s=20 * self.DT, dt_s=self.DT
+        ).v_min_map
+
+    @pytest.mark.parametrize(
+        "cls, edit",
+        [
+            (cls, edit)
+            for edit in EDITS
+            for cls in (GridPDN, GridACPDN, GridTransientPDN)
+            # Decaps are open at DC: the DC grid carries none.
+            if not (cls is GridPDN and edit == "decap")
+        ],
+    )
+    def test_edit_keeps_or_replaces_the_cached_structure(self, cls, edit):
+        apply, keeps = self.EDITS[edit]
+        grid = self.design(cls)
+        before = self.structure(grid)
+        apply(self, grid)
+        after = self.structure(grid)
+        if cls is GridACPDN:
+            # The driven netlist bakes sinks and voltages in and keys on
+            # them as well; only the impedance-map structure can stay.
+            (before, compiled_before), (after, compiled_after) = before, after
+            assert compiled_after is not compiled_before
+        assert (after is before) == keeps
+        # Whatever was reused, the answer equals a cache-free copy's.
+        np.testing.assert_allclose(
+            self.answer(grid), self.answer(grid.copy()), rtol=1e-12
+        )
+
+    def test_placement_leaves_the_cached_structure_in_place(self):
+        pdn = self.design(GridACPDN)
+        zmap = pdn.impedance_map(self.FREQS)
+        structure = pdn._ensure_structured()
+        snapshot = pdn.decap_snapshot()
+        optimize_decap_placement(
+            pdn,
+            0.7 * zmap.peak_impedance_ohm,
+            frequencies_hz=self.FREQS,
+            max_iterations=2,
+            gradient_steps=1,
+        )
+        assert pdn._ensure_structured() is structure
+        after = pdn.decap_snapshot()
+        assert after[1] == snapshot[1]
+        assert after[0][0] == snapshot[0][0]
+        np.testing.assert_array_equal(after[0][1], snapshot[0][1])
+        assert after[0][2:] == snapshot[0][2:]
+
+    def test_restore_decap_returns_to_the_snapshot_key(self):
+        pdn = self.design(GridACPDN)
+        pdn.impedance_map(self.FREQS)
+        structure = pdn._ensure_structured()
+        snapshot = pdn.decap_snapshot()
+        pdn.scale_decap(4.0)
+        assert pdn.decap_snapshot()[1] != snapshot[1]
+        pdn.restore_decap(snapshot)
+        assert pdn.decap_snapshot()[1] == snapshot[1]
+        assert pdn._ensure_structured() is structure
 
 
 class TestGridFactorizationCache:
