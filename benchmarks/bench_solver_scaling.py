@@ -20,6 +20,9 @@ shapes the system-level sweeps rely on:
 * ``test_nk_sweep_batched`` — the same sweep with every scenario's
   influence/RHS/refinement solves stacked through
   ``solve_modified_many`` (three batched back-substitutions total),
+* ``test_nk_sweep_structured`` — a 32-scenario N−2 sweep over a 6×6
+  VR bank on the 128×128 fast-Poisson engine, where every scenario
+  multiplies the cached influence block in place,
 * ``test_grid_ac_impedance_map`` — the grid-level AC engine: die-seen
   per-node Z(f) over a 200-point sweep at mesh sizes 8/16/24
   (``GridACPDN.impedance_map``, compile once / revalue per frequency),
@@ -265,6 +268,37 @@ def test_nk_sweep_batched(benchmark):
 
     def sweep() -> float:
         solutions = grid.solve_disabled_many(scenarios, method="woodbury")
+        return max(
+            float(solution.source_currents_a.max())
+            for solution in solutions
+        )
+
+    worst = benchmark(sweep)
+    assert worst > 0
+
+
+NK_STRUCTURED_BANK = 6
+NK_STRUCTURED_SCENARIOS = 32
+
+
+@pytest.mark.parametrize("n", [128])
+def test_nk_sweep_structured(benchmark, n):
+    """Two-VR failure scenarios on the structured DC engine."""
+    grid = GridPDN(0.0224, 0.0224, 0.62e-3, nx=n, ny=n, engine="structured")
+    grid.set_sinks(PowerMap.hotspot_mixture(), 1000.0)
+    bank = NK_STRUCTURED_BANK
+    for k in range(bank * bank):
+        x, y = (k % bank + 0.5) / bank, (k // bank + 0.5) / bank
+        grid.add_source(f"s{k}", x, y, 1.0, 1e-3)
+    grid.solve()
+    sources = bank * bank
+    scenarios = [
+        (k % sources, (7 * k + 3) % sources)
+        for k in range(NK_STRUCTURED_SCENARIOS)
+    ]
+
+    def sweep() -> float:
+        solutions = grid.solve_disabled_many(scenarios)
         return max(
             float(solution.source_currents_a.max())
             for solution in solutions

@@ -309,8 +309,9 @@ class StructuredGridPDN:
             c[t] = g
         self._u = u
         self._c = c
-        # Z = M⁻¹U: one batched transform pair, paid at construction.
-        self._z = self.op.solve(u)
+        # Z = M⁻¹U: one batched transform pair, paid at construction,
+        # stored C-contiguous so every correction multiplies it in place.
+        self._z = np.ascontiguousarray(self.op.solve(u))
         self._t0 = u.T @ self._z  # UᵀM⁻¹U, shape (k, k)
         # Per-edge conductance fields for the stencil matvec (scalars
         # in uniform mode; (ny, nx−1)/(ny−1, nx) maps under variation).
@@ -379,9 +380,10 @@ class StructuredGridPDN:
         """Apply the Woodbury identity to ``y = M⁻¹ b``.
 
         ``x = y − Z_c (C_c⁻¹ + UᵀZ|_c)⁻¹ U_cᵀ y`` over the live column
-        subset ``columns``.
+        subset ``columns``.  The product runs against the whole stored
+        ``Z``: dropped columns get a zero coefficient, so no
+        (cells × k) block is ever gathered.
         """
-        z = self._z[:, columns]
         s = self._t0[np.ix_(columns, columns)] + np.diag(
             1.0 / self._c[columns]
         )
@@ -393,7 +395,11 @@ class StructuredGridPDN:
                 raise StructuredSolveError(
                     f"structured correction is singular: {exc}"
                 ) from exc
-        return y - z @ coeff
+        if columns.size < self._c.size:
+            full = np.zeros((self._c.size,) + coeff.shape[1:])
+            full[columns] = coeff
+            coeff = full
+        return y - self._z @ coeff
 
     def _uniform_solve(
         self, b: np.ndarray, columns: np.ndarray
@@ -568,9 +574,10 @@ class StructuredGridPDN:
     ) -> list[DCSolution]:
         """A whole failure sweep on shared transforms.
 
-        Every scenario reuses the memoized influence columns ``Z``;
-        per scenario the extra cost is one k×k solve plus the
-        refinement transform pair.
+        Every scenario reuses the memoized influence columns ``Z``.
+        Per scenario the cost is two transform pairs (the solve and
+        its refinement round), two s×s dense solves and two products
+        against ``Z``, where s is the live column count.
         """
         amp, volt = self._scenario_values(cs_amp, vs_volt)
         solutions: list[DCSolution] = []

@@ -1135,7 +1135,10 @@ class GridACPDN(MeshDesign):
         diagonal in the eigenbasis, so ``diag(M⁻¹)`` is one GEMM over
         the whole sweep and the source branches enter as a rank-s
         Sherman–Morrison–Woodbury correction whose capacitance matrix
-        inverts per frequency at s×s cost.
+        inverts per frequency at s×s cost.  The cached real eigenbasis
+        multiplies the complex modal factors as real GEMMs over their
+        stacked real and imaginary parts, so it is never converted to
+        complex.
         """
         structure = self._ensure_spectral()
         reactance = omega * structure.unit_esl - 1.0 / (
@@ -1144,12 +1147,23 @@ class GridACPDN(MeshDesign):
         with np.errstate(divide="ignore", invalid="ignore"):
             y_u = 1.0 / (structure.unit_esr + 1j * reactance)
             w = 1.0 / (structure.lam[None, :] + y_u[:, None])  # (F, n)
-        diag = w @ structure.q_sq.T  # (F, cells)
+        f_count, n = w.shape
+        stacked = np.concatenate([w.real, w.imag]) @ structure.q_sq.T
+        diag = stacked[:f_count] + 1j * stacked[f_count:]  # (F, cells)
         s_count = len(structure.rout)
         if s_count:
-            tmp = w[:, :, None] * structure.p[None, :, :]  # (F, n, s)
-            influence = structure.q[None, :, :] @ tmp  # M⁻¹U, (F, cells, s)
-            t = structure.p.T[None, :, :] @ tmp  # UᵀM⁻¹U, (F, s, s)
+            # tmp = M⁻¹-weighted QᵀU per frequency, laid out (n, F, s)
+            # so its complex view is one real (n, 2·F·s) operand.
+            tmp = w.T[:, :, None] * structure.p[:, None, :]
+            flat = tmp.view(float).reshape(n, -1)
+            influence = (  # M⁻¹U, (F, cells, s)
+                (structure.q @ flat).view(complex)
+                .reshape(-1, f_count, s_count).transpose(1, 0, 2)
+            )
+            t = (  # UᵀM⁻¹U, (F, s, s)
+                (structure.p.T @ flat).view(complex)
+                .reshape(s_count, f_count, s_count).transpose(1, 0, 2)
+            )
             y_branch_inv = (
                 structure.rout[None, :]
                 + 1j * omega[:, None] * structure.l_src[None, :]
@@ -1164,9 +1178,7 @@ class GridACPDN(MeshDesign):
                 raise SolverError(
                     f"grid impedance source correction is singular: {exc}"
                 ) from exc
-            diag = diag - np.einsum(
-                "fks,fst,fkt->fk", influence, k, influence, optimize=True
-            )
+            diag = diag - ((influence @ k) * influence).sum(axis=-1)
         return diag.T
 
     def _ensure_structured(self) -> _StructuredACStructure:

@@ -13,7 +13,8 @@ to solve new load/source vectors at back-substitution cost
 (``solve_rhs`` / ``solve_many``).
 
 The solver also verifies the physics of the returned solution:
-Kirchhoff's current law at every node (via ``np.bincount``) and global
+Kirchhoff's current law at every node (one sparse mat-vec against the
+compiled netlist's cached node × element incidence) and global
 power balance (source power = load power + I²R dissipation) to tight
 tolerances, raising :class:`~repro.errors.SolverError` on violation
 rather than returning silently wrong answers.
@@ -882,21 +883,9 @@ def _verify(
 ) -> None:
     """Check KCL at every node and overall power balance (vectorized)."""
     compiled = solution.compiled
-    n = compiled.n_nodes
-    currents = solution.resistor_current_array
     source_currents = solution.source_current_array
-
-    def contributions(nodes: np.ndarray, flow: np.ndarray) -> np.ndarray:
-        keep = nodes != GROUND_INDEX
-        return np.bincount(nodes[keep], weights=flow[keep], minlength=n)
-
-    residual = (
-        contributions(compiled.res_a, -currents)
-        + contributions(compiled.res_b, currents)
-        + contributions(compiled.cs_from, -cs_amp)
-        + contributions(compiled.cs_to, cs_amp)
-        + contributions(compiled.vs_plus, source_currents)
-        + contributions(compiled.vs_minus, -source_currents)
+    residual = compiled.incidence @ np.concatenate(
+        [solution.resistor_current_array, cs_amp, source_currents]
     )
     scale = max(
         1.0,

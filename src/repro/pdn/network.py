@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ConfigError
 
@@ -303,8 +304,9 @@ class CompiledNetlist:
     Nodes are integer rows ``0..n_nodes-1`` (ground encoded as
     :data:`GROUND_INDEX`); element endpoints, resistances, source
     currents and voltages live in flat numpy arrays, so matrix
-    stamping, branch-current extraction, and KCL verification are all
-    pure array operations.
+    stamping and branch-current extraction are pure array operations,
+    and KCL verification is one sparse mat-vec against the cached
+    :attr:`incidence`.
 
     Element names are optional and may be supplied lazily (a callable
     returning the name sequence): regular builders like the grid mesh
@@ -382,6 +384,9 @@ class CompiledNetlist:
         self._cs_names = normalize(cs_names, len(self.cs_amp), "I")
         self._vs_names = normalize(vs_names, len(self.vs_volt), "V")
         self._node_index: dict[NodeId, int] | None = None
+        # Per-topology derived data, built on first use; with_sources
+        # copies share this dict and so share what it holds.
+        self._topology_cache: dict[str, sp.csc_matrix] = {}
 
         n = self._n_nodes
         for label, a, b, values in (
@@ -491,6 +496,37 @@ class CompiledNetlist:
             self._node_index = mapping
         return self._node_index
 
+    @property
+    def incidence(self) -> sp.csc_matrix:
+        """Signed node × element incidence, ``(n_nodes, element_count)``.
+
+        Columns run over resistors, current sources, then voltage
+        sources.  An entry is ``+1`` at the node an element's current
+        flows into and ``−1`` at the node it leaves: resistor
+        ``a → b``, current source ``from → to``, voltage source
+        ``minus → plus`` through the source.  Ground rows are dropped,
+        so ``incidence @ flows`` is the net current into every node.
+        Built once per topology and shared with :meth:`with_sources`
+        copies.
+        """
+        cached = self._topology_cache.get("incidence")
+        if cached is None:
+            # Column-major assembly: each element's (enters, leaves)
+            # pair is already one column in order, so nothing is sorted.
+            into = np.concatenate([self.res_b, self.cs_to, self.vs_plus])
+            out_of = np.concatenate([self.res_a, self.cs_from, self.vs_minus])
+            ends = np.stack([into, out_of], axis=1).ravel()
+            entry = np.flatnonzero(ends != GROUND_INDEX)
+            per_column = 2 - (into == GROUND_INDEX) - (out_of == GROUND_INDEX)
+            indptr = np.zeros(into.size + 1, dtype=np.int64)
+            np.cumsum(per_column, out=indptr[1:])
+            cached = sp.csc_matrix(
+                (np.where(entry & 1, -1.0, 1.0), ends[entry], indptr),
+                shape=(self.n_nodes, into.size),
+            )
+            self._topology_cache["incidence"] = cached
+        return cached
+
     def total_load_current_a(self) -> float:
         """Sum of all current-source magnitudes (loads)."""
         return float(self.cs_amp.sum())
@@ -571,7 +607,8 @@ class CompiledNetlist:
         Lazy node/name sources are often closures over the builder
         (e.g. :meth:`repro.pdn.grid.GridPDN._build_structure`), which
         cannot cross a process boundary — materialize them first.  The
-        node-index dict is derived data; drop it and rebuild on demand.
+        node-index dict and the topology cache hold derived data; drop
+        them and rebuild on demand.
         """
         self.nodes
         self.res_names
@@ -579,6 +616,7 @@ class CompiledNetlist:
         self.vs_names
         state = dict(self.__dict__)
         state["_node_index"] = None
+        state["_topology_cache"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:

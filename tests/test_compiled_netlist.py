@@ -9,7 +9,7 @@ from repro.errors import ConfigError, SolverError
 from repro.pdn.decap_placement import optimize_decap_placement
 from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.grid_transient import GridTransientPDN
-from repro.pdn.mna import FactorizedPDN, solve_dc
+from repro.pdn.mna import FactorizedPDN, package_dc_solution, solve_dc
 from repro.pdn.network import GROUND_INDEX, CompiledNetlist, Netlist
 from repro.pdn.powermap import PowerMap
 
@@ -150,6 +150,83 @@ class TestWithSources:
             compiled.with_sources(cs_amp=np.array([1.0, 2.0]))
         with pytest.raises(ConfigError):
             compiled.with_sources(vs_volt=np.array([1.0, 2.0]))
+
+
+class TestIncidenceVerification:
+    """KCL and power balance run on one cached node × element
+    incidence per topology and still catch a corrupted solution."""
+
+    @pytest.mark.parametrize("build", ["feed", "grid"])
+    def test_incidence_matches_an_element_loop(self, build):
+        compiled = (
+            feed_netlist().compile() if build == "feed"
+            else hotspot_grid().compile()
+        )
+        # Each element's current leaves one terminal and enters the
+        # other: resistor a→b, load from→to, source minus→plus.
+        leaves = np.concatenate(
+            [compiled.res_a, compiled.cs_from, compiled.vs_minus]
+        )
+        enters = np.concatenate(
+            [compiled.res_b, compiled.cs_to, compiled.vs_plus]
+        )
+        expected = np.zeros((compiled.n_nodes, compiled.element_count))
+        for element, (a, b) in enumerate(zip(leaves, enters)):
+            if a != GROUND_INDEX:
+                expected[a, element] -= 1.0
+            if b != GROUND_INDEX:
+                expected[b, element] += 1.0
+        assert np.array_equal(compiled.incidence.toarray(), expected)
+
+    def test_corrupted_node_voltage_violates_kcl(self):
+        grid = hotspot_grid()
+        dc = grid.solve().dc
+        compiled = grid.compile()
+        voltages = dc.node_voltage_array.copy()
+        voltages[7] += 1e-3
+        x = np.concatenate([voltages, -dc.source_current_array])
+        with pytest.raises(SolverError, match="KCL violated"):
+            package_dc_solution(
+                compiled, x, compiled.cs_amp, compiled.vs_volt,
+                1.0 / compiled.res_ohm, True,
+            )
+
+    def test_corrupted_source_current_violates_power_balance(self):
+        # A 48 V feed with a 10 mA load: a 0.5 µA error in the source
+        # current is inside the 1 µA KCL bound but puts 24 µW of
+        # unaccounted power against the 1 µW power-balance bound.
+        net = Netlist()
+        net.add_voltage_source("bus", "in", 48.0)
+        net.add_resistor("feed", "in", "pol", 1.0)
+        net.add_load("standby", "pol", 0.01)
+        compiled = net.compile()
+        dc = solve_dc(compiled)
+        x = np.concatenate(
+            [dc.node_voltage_array, -(dc.source_current_array + 0.5e-6)]
+        )
+        with pytest.raises(SolverError, match="power balance violated"):
+            package_dc_solution(
+                compiled, x, compiled.cs_amp, compiled.vs_volt,
+                1.0 / compiled.res_ohm, True,
+            )
+
+    @pytest.mark.parametrize("engine", ["structured", "factorized"])
+    def test_repeated_solves_reuse_one_incidence(self, engine):
+        grid = hotspot_grid()
+        grid.engine = engine
+        first = grid.solve().dc.compiled.incidence
+        grid.set_sinks(PowerMap.gaussian(), 50.0)  # same topology
+        assert grid.solve().dc.compiled.incidence is first
+        assert grid.solve_disabled((0,)).dc.compiled.incidence is first
+
+    def test_with_sources_copies_share_the_incidence(self):
+        compiled = feed_netlist().compile()
+        copy = compiled.with_sources(cs_amp=np.array([50.0]))
+        assert copy.incidence is compiled.incidence  # built by the copy
+        later = compiled.with_sources(vs_volt=np.array([0.9]))
+        assert solve_dc(later).compiled.incidence is compiled.incidence
+        grid = hotspot_grid()
+        assert grid.compile().incidence is grid.compile().incidence
 
 
 class TestFactorizedPDN:

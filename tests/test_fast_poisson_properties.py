@@ -12,6 +12,8 @@ answer, and ``engine="structured"`` must surface the failure.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.pdn.fast_poisson import (
 )
 from repro.pdn.grid import STRUCTURED_AUTO_MIN_CELLS, GridPDN
 from repro.pdn.pcg import PCGResult, pcg_solve
+from repro.pdn.powermap import PowerMap
 
 RTOL = 1e-8
 
@@ -291,6 +294,33 @@ def test_edge_scale_changes_the_answer():
         )
         scaled = grid.solve().worst_droop_v
         assert scaled > 2.0 * base
+
+
+@pytest.mark.parametrize(
+    "query",
+    [lambda grid: grid.solve(), lambda grid: grid.solve_disabled((3,))],
+    ids=["solve", "solve_disabled"],
+)
+def test_warm_solve_uses_the_influence_block_in_place(query):
+    """A warm structured solve must not copy the cached ``Z = M⁻¹U``:
+    its allocation peak stays below one (cells × k) float64 block."""
+    n, bank = 64, 6
+    grid = GridPDN(0.02, 0.02, 1e-2, nx=n, ny=n, engine="structured")
+    for k in range(bank * bank):
+        x, y = (k % bank + 0.5) / bank, (k // bank + 0.5) / bank
+        grid.add_source(f"vr{k}", x, y, 1.0, 0.15e-3)
+    grid.set_sink_array(
+        PowerMap.hotspot_mixture().cell_currents(n, n, 400.0)
+    )
+    query(grid)  # warm: structure, influence block, incidence
+    block_bytes = n * n * (1 + bank * bank) * 8
+    tracemalloc.start()
+    try:
+        query(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
 
 
 # -- engine selection and fallback ----------------------------------------------------

@@ -27,6 +27,7 @@ from repro.pdn.ac import (
     solve_ac,
 )
 from repro.pdn.grid import GridACPDN
+from repro.pdn.powermap import PowerMap
 
 RTOL = 1e-9
 # The structured engine's acceptance bound: eigen-transform round trips
@@ -543,6 +544,30 @@ def test_direct_sparse_agrees_with_structured_above_cutoff():
     structured = pdn.impedance_map(freqs, method="structured").z_ohm
     scale = max(float(np.abs(direct).max()), 1e-12)
     assert np.abs(structured - direct).max() <= STRUCTURED_RTOL * scale
+
+
+def test_spectral_matches_direct_on_a_placement_sized_mesh():
+    """The property suites stop at 4×4; placement runs the spectral
+    engine on 6²–24² meshes.  A 16² hotspot decap map with six VRs
+    (placement-workload values) must stay inside the same parity bound
+    against the direct engine over 10 kHz–1 GHz."""
+    n = 16
+    pdn = GridACPDN(0.032, 0.032, 2e-3, nx=n, ny=n)
+    sites = [
+        (0.1, 0.2), (0.85, 0.1), (0.5, 0.45),
+        (0.2, 0.9), (0.7, 0.8), (0.95, 0.6),
+    ]
+    for k, (x, y) in enumerate(sites):
+        rout = 0.15e-3 * (0.6 + 0.25 * k)
+        pdn.add_source(f"vr{k}", x, y, 1.0, rout, 5e-12)
+    density = PowerMap.hotspot_mixture().cell_currents(n, n, n * n)
+    pdn.set_decap_density(density, 0.2e-6, 2e-3, 1e-12)
+    assert pdn.impedance_engine("auto") == "spectral"
+    freqs = np.logspace(4, 9, 41)
+    direct = pdn.impedance_map(freqs, method="direct").z_ohm
+    spectral = pdn.impedance_map(freqs, method="spectral").z_ohm
+    scale = max(float(np.abs(direct).max()), 1e-12)
+    assert np.abs(spectral - direct).max() <= RTOL * scale
 
 
 @given(
