@@ -34,7 +34,6 @@ from .network import (
     VoltageSource,
 )
 from .mna import DCSolution, FactorizedPDN, solve_dc
-from .backend import ArrayBackend, active_backend, resolve_backend
 from .fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
@@ -110,9 +109,6 @@ __all__ = [
     "solve_dc",
     "DCSolution",
     "FactorizedPDN",
-    "ArrayBackend",
-    "active_backend",
-    "resolve_backend",
     "FastPoissonOperator",
     "StructuredGridPDN",
     "StructuredSolveError",

@@ -11,9 +11,8 @@ structure as a small correction:
 
 * The free (Neumann) mesh Laplacian ``G = gx·(I ⊗ Lx) + gy·(Ly ⊗ I)``
   is diagonalized exactly by the orthonormal **DCT-II** along each
-  axis (the DST handles the grounded/Dirichlet boundary variant —
-  see :func:`poisson_mode_eigenvalues`).  One 2-D transform pair per
-  solve, trivially batched over right-hand-side columns.
+  axis.  One 2-D transform pair per solve, trivially batched over
+  right-hand-side columns.
 * ``G`` alone is singular (the constant mode); the zero eigenvalue is
   deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is subtracted back out
   through the same correction that carries the source branches.
@@ -30,21 +29,18 @@ structure as a small correction:
 Disabling a source (an open-circuited regulator) simply drops its
 column from the correction, so N−1/N−k sweeps share every transform
 and memoized influence column across scenarios.
-
-Array kernels route through :mod:`repro.pdn.backend`, so the same
-code paths run on CuPy/torch arrays when ``REPRO_BACKEND`` selects
-them (with graceful numpy fallback when the library is absent).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as sfft
 
 from ..errors import ConfigError, SolverError
-from .backend import ArrayBackend, active_backend
+from .mesh import check_real
 from .mna import DCSolution, package_dc_solution
 from .network import CompiledNetlist
-from .pcg import DEFAULT_MAX_ITER, DEFAULT_TOL, pcg_solve
+from .pcg import pcg_solve
 
 
 class StructuredSolveError(SolverError):
@@ -56,25 +52,17 @@ class StructuredSolveError(SolverError):
     """
 
 
-def poisson_mode_eigenvalues(n: int, boundary: str = "neumann") -> np.ndarray:
-    """Eigenvalues of the 1-D unit-weight path-graph Laplacian.
+def poisson_mode_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues of the 1-D unit-weight free-ended path Laplacian.
 
-    ``boundary="neumann"`` is the free-ended chain (the PDN mesh: no
-    connection past the die edge), diagonalized by the DCT-II basis
-    with eigenvalues ``2(1 − cos(πk/n))``, ``k = 0..n−1`` — including
-    the zero mode.  ``boundary="dirichlet"`` is the grounded-ended
-    chain, diagonalized by the DST-I basis with eigenvalues
-    ``2(1 − cos(π(k+1)/(n+1)))``; it has no zero mode and needs no
-    deflation.
+    The free chain is the PDN mesh (no connection past the die edge),
+    diagonalized by the DCT-II basis with eigenvalues
+    ``2(1 − cos(πk/n))``, ``k = 0..n−1`` — including the zero mode.
     """
     if n < 1:
         raise ConfigError("mode count needs n >= 1")
     k = np.arange(n, dtype=float)
-    if boundary == "neumann":
-        return 2.0 * (1.0 - np.cos(np.pi * k / n))
-    if boundary == "dirichlet":
-        return 2.0 * (1.0 - np.cos(np.pi * (k + 1.0) / (n + 1.0)))
-    raise ConfigError(f"unknown boundary condition: {boundary!r}")
+    return 2.0 * (1.0 - np.cos(np.pi * k / n))
 
 
 def dct2_basis(n: int) -> np.ndarray:
@@ -95,6 +83,54 @@ def dct2_basis(n: int) -> np.ndarray:
     return basis
 
 
+def branch_columns(
+    cells: int,
+    attach: np.ndarray,
+    ring_a: np.ndarray,
+    ring_b: np.ndarray,
+    deflate: bool = True,
+    unit_rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The branch block ``U`` of a Woodbury correction ``A = M + U C Uᵀ``.
+
+    Columns, in order: the zero-mode deflation column ``u₀ = 1/√cells``
+    (when ``deflate``), a unit column per ``unit_rows`` entry, a unit
+    column per source ``attach`` row, and a ±1 column per ring segment
+    ``(ring_a, ring_b)``.  Shared by the structured DC, AC and
+    transient engines, which pair it with their own branch values.
+    """
+    rows = np.asarray(attach, dtype=np.int64)
+    if unit_rows is not None:
+        rows = np.concatenate([np.asarray(unit_rows, dtype=np.int64), rows])
+    head = int(deflate)
+    cols = np.arange(head, head + rows.size + len(ring_a))
+    u = np.zeros((cells, cols.size + head))
+    if deflate:
+        u[:, 0] = 1.0 / np.sqrt(cells)
+    u[rows, cols[: rows.size]] = 1.0
+    ring = cols[rows.size :]
+    u[ring_a, ring] += 1.0
+    u[ring_b, ring] -= 1.0
+    return u
+
+
+def mesh_stencil(field: np.ndarray, gx, gy) -> np.ndarray:
+    """The lateral mesh Laplacian applied to a ``(k, ny, nx)`` field stack.
+
+    ``gx``/``gy`` are the x/y edge conductances: scalars, or per-edge
+    ``(ny, nx−1)`` / ``(ny−1, nx)`` maps.  No sparse matrix is ever
+    assembled, so matvecs stay O(n²) with small constants.
+    """
+    out = np.zeros_like(field)
+    dx = (field[:, :, :-1] - field[:, :, 1:]) * gx
+    out[:, :, :-1] += dx
+    out[:, :, 1:] -= dx
+    dy = (field[:, :-1, :] - field[:, 1:, :]) * gy
+    out[:, :-1, :] += dy
+    out[:, 1:, :] -= dy
+    return out
+
+
 class FastPoissonOperator:
     """``M = gx·(I ⊗ Lx) + gy·(Ly ⊗ I) [+ shift·I]`` with O(n² log n) solves.
 
@@ -104,34 +140,29 @@ class FastPoissonOperator:
     eigenvalue is replaced by ``τ = gx + gy`` and
     :attr:`deflation_tau` reports the value so callers can subtract
     ``τ·u₀u₀ᵀ`` back out via their low-rank correction.  A nonzero
-    (possibly complex) ``shift`` needs no deflation.
+    ``shift`` needs no deflation.
     """
 
     def __init__(
-        self,
-        nx: int,
-        ny: int,
-        gx: float,
-        gy: float,
-        shift: complex = 0.0,
-        backend: ArrayBackend | None = None,
+        self, nx: int, ny: int, gx: float, gy: float, shift: float = 0.0
     ) -> None:
         if nx < 1 or ny < 1 or nx * ny < 2:
             raise ConfigError("operator needs at least two mesh nodes")
+        gx = check_real("gx", gx)
+        gy = check_real("gy", gy)
+        shift = check_real("shift", shift)
         if (nx > 1 and gx <= 0) or (ny > 1 and gy <= 0):
             raise ConfigError("edge conductances must be positive")
         self.nx = nx
         self.ny = ny
         self.gx = gx
         self.gy = gy
-        self.backend = backend if backend is not None else active_backend()
         lam_x = gx * poisson_mode_eigenvalues(nx) if nx > 1 else np.zeros(1)
         lam_y = gy * poisson_mode_eigenvalues(ny) if ny > 1 else np.zeros(1)
         lam = lam_y[:, None] + lam_x[None, :] + shift
         self.deflation_tau: float | None = None
         if shift == 0.0:
             tau = float(gx + gy)
-            lam = lam.astype(float)
             lam[0, 0] = tau
             self.deflation_tau = tau
         self._lam = lam
@@ -154,20 +185,7 @@ class FastPoissonOperator:
             raise ConfigError(
                 f"rhs must have {self.cells} rows, got {columns.shape[0]}"
             )
-        field = np.ascontiguousarray(columns.T).reshape(
-            -1, self.ny, self.nx
-        )
-        backend = self.backend
-        if backend.name == "numpy":
-            hat = backend.dctn(field, axes=(1, 2))
-            hat = hat / self._lam[None, :, :]
-            out = backend.idctn(hat, axes=(1, 2))
-        else:  # pragma: no cover - exercised only with a GPU library
-            device = backend.from_numpy(field)
-            hat = backend.dctn(device, axes=(1, 2))
-            hat = hat / backend.from_numpy(self._lam)[None, :, :]
-            out = backend.to_numpy(backend.idctn(hat, axes=(1, 2)))
-        solved = out.reshape(-1, self.cells).T
+        solved = self.solve_rows(columns.T).T
         return solved[:, 0] if single else solved
 
     def solve_rows(self, rhs: np.ndarray) -> np.ndarray:
@@ -183,16 +201,9 @@ class FastPoissonOperator:
                 f"row rhs must be (k, {self.cells}), got {arr.shape}"
             )
         field = arr.reshape(-1, self.ny, self.nx)
-        backend = self.backend
-        if backend.name == "numpy":
-            hat = backend.dctn(field, axes=(1, 2))
-            hat /= self._lam[None, :, :]
-            out = backend.idctn(hat, axes=(1, 2))
-        else:  # pragma: no cover - exercised only with a GPU library
-            device = backend.from_numpy(field)
-            hat = backend.dctn(device, axes=(1, 2))
-            hat = hat / backend.from_numpy(self._lam)[None, :, :]
-            out = backend.to_numpy(backend.idctn(hat, axes=(1, 2)))
+        hat = sfft.dctn(field, type=2, axes=(1, 2), norm="ortho")
+        hat /= self._lam[None, :, :]
+        out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
         return out.reshape(-1, self.cells)
 
 
@@ -229,8 +240,6 @@ class StructuredGridPDN:
         ring_conductance: np.ndarray | None = None,
         edge_scale_x: np.ndarray | None = None,
         edge_scale_y: np.ndarray | None = None,
-        cg_tol: float = DEFAULT_TOL,
-        cg_max_iter: int = DEFAULT_MAX_ITER,
     ) -> None:
         self.compiled = compiled
         self.nx = nx
@@ -267,9 +276,6 @@ class StructuredGridPDN:
             "pcg" if self._scale_x is not None or self._scale_y is not None
             else "uniform"
         )
-        self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
-        self.backend = active_backend()
 
         # Conductance scale maps multiply *resistance*, so per-edge
         # conductance divides by them; the operator (and hence the CG
@@ -284,31 +290,15 @@ class StructuredGridPDN:
         ) else gy
         self.gx = gx
         self.gy = gy
-        self.op = FastPoissonOperator(
-            nx, ny, gx_op, gy_op, backend=self.backend
-        )
+        self.op = FastPoissonOperator(nx, ny, gx_op, gy_op)
 
         # Woodbury columns of A = M + U C Uᵀ: the deflation column
         # (subtracting the τ·u₀u₀ᵀ shift back out), one per source
         # branch, one per ring segment.
-        tau = self.op.deflation_tau
-        k = 1 + self.attach.size + self.ring_a.size
-        u = np.zeros((self.cells, k))
-        c = np.empty(k)
-        u[:, 0] = 1.0 / np.sqrt(self.cells)
-        c[0] = -tau
-        for t, (row, g) in enumerate(zip(self.attach, self.g_src), start=1):
-            u[row, t] += 1.0
-            c[t] = g
-        offset = 1 + self.attach.size
-        for t, (a, b, g) in enumerate(
-            zip(self.ring_a, self.ring_b, self.g_ring), start=offset
-        ):
-            u[a, t] += 1.0
-            u[b, t] -= 1.0
-            c[t] = g
-        self._u = u
-        self._c = c
+        u = branch_columns(self.cells, self.attach, self.ring_a, self.ring_b)
+        self._c = np.concatenate(
+            [[-self.op.deflation_tau], self.g_src, self.g_ring]
+        )
         # Z = M⁻¹U: one batched transform pair, paid at construction,
         # stored C-contiguous so every correction multiplies it in place.
         self._z = np.ascontiguousarray(self.op.solve(u))
@@ -327,24 +317,15 @@ class StructuredGridPDN:
     # -- reduced operator ---------------------------------------------------------
 
     def _matvec(self, v: np.ndarray, disabled: np.ndarray) -> np.ndarray:
-        """``A_live @ v`` for columns ``(cells,)`` or ``(cells, k)``.
-
-        Applied as a stencil on the (ny, nx) field — no sparse matrix
-        is ever assembled, so refinement and CG iterations stay O(n²)
-        with small constants at any mesh size.
-        """
+        """``A_live @ v`` for columns ``(cells,)`` or ``(cells, k)``,
+        as a stencil on the (ny, nx) field (:func:`mesh_stencil`)."""
         single = v.ndim == 1
         field = np.ascontiguousarray(
             (v[None] if single else v.T)
         ).reshape(-1, self.ny, self.nx)
-        out = np.zeros_like(field)
-        dx = (field[:, :, :-1] - field[:, :, 1:]) * self._gx_edges
-        out[:, :, :-1] += dx
-        out[:, :, 1:] -= dx
-        dy = (field[:, :-1, :] - field[:, 1:, :]) * self._gy_edges
-        out[:, :-1, :] += dy
-        out[:, 1:, :] -= dy
-        flat = out.reshape(-1, self.cells)
+        flat = mesh_stencil(field, self._gx_edges, self._gy_edges).reshape(
+            -1, self.cells
+        )
         vf = field.reshape(-1, self.cells)
         batch = np.arange(flat.shape[0])[:, None]
         if self.ring_a.size:
@@ -438,9 +419,6 @@ class StructuredGridPDN:
                 lambda v: self._matvec(v, disabled),
                 b,
                 preconditioner=lambda r: self._uniform_solve(r, columns),
-                tol=self.cg_tol,
-                max_iter=self.cg_max_iter,
-                xp=self.backend.xp,
             )
             if not result.converged:
                 raise StructuredSolveError(

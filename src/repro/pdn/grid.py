@@ -45,10 +45,11 @@ from .ac import (
     shared_csc_pattern,
 )
 from .fast_poisson import (
+    FastPoissonOperator,
     StructuredGridPDN,
     StructuredSolveError,
+    branch_columns,
     dct2_basis,
-    poisson_mode_eigenvalues,
 )
 from .impedance import ImpedanceProfile
 from .mna import (
@@ -1191,43 +1192,25 @@ class GridACPDN(MeshDesign):
         cells = nx * ny
         gx = 1.0 / self.edge_resistance_x_ohm if nx > 1 else 0.0
         gy = 1.0 / self.edge_resistance_y_ohm if ny > 1 else 0.0
-        lam = (
-            gy * poisson_mode_eigenvalues(ny)[:, None]
-            + gx * poisson_mode_eigenvalues(nx)[None, :]
-        ).ravel()
-        attach, _, rout, l_src = self._source_arrays()
-        _, ring_a, ring_b = self._ring_segments()
         # Deflate the mesh zero mode: at low frequency 1/(α·y_u) dwarfs
         # every other modal weight and its near-exact cancellation by
-        # the source correction destroys ~5 digits.  Shift lam[0] by
-        # τ = gx + gy and reinstate the mode as a −τ rank-one branch in
-        # the Woodbury block, where the cancellation resolves inside a
-        # full-precision dense solve (same trick as the DC fast path).
-        tau = gx + gy
-        defl = 1 if tau > 0 else 0
-        if defl:
-            lam = lam.copy()
-            lam[0] += tau
-        k = defl + attach.size + ring_a.size
-        u = np.zeros((cells, k))
-        if defl:
-            u[:, 0] = 1.0 / math.sqrt(cells)
-        for t, row in enumerate(attach, start=defl):
-            u[row, t] += 1.0
-        for t, (a, b) in enumerate(zip(ring_a, ring_b), start=defl + attach.size):
-            u[a, t] += 1.0
-            u[b, t] -= 1.0
-        u_hat = (
-            sfft.dctn(
-                u.T.reshape(k, ny, nx), type=2, axes=(1, 2), norm="ortho"
-            ).reshape(k, cells).T.copy()
-            if k
-            else u
-        )
+        # the source correction destroys ~5 digits.  The operator sets
+        # lam[0] to τ = gx + gy; the mode comes back as a −τ rank-one
+        # branch in the Woodbury block, where the cancellation resolves
+        # inside a full-precision dense solve (as on the DC fast path).
+        op = FastPoissonOperator(nx, ny, gx, gy)
+        lam = op.eigenvalues().ravel()
+        attach, _, rout, l_src = self._source_arrays()
+        _, ring_a, ring_b = self._ring_segments()
+        u = branch_columns(cells, attach, ring_a, ring_b)
+        k = u.shape[1]
+        u_hat = sfft.dctn(
+            u.T.reshape(k, ny, nx), type=2, axes=(1, 2), norm="ortho"
+        ).reshape(k, cells).T.copy()
         _, alpha_map, c_u, esr_u, esl_u = self._decap
         return _StructuredACStructure(
             lam=lam,
-            tau=tau if defl else 0.0,
+            tau=op.deflation_tau,
             bx_sq=dct2_basis(nx) ** 2,
             by_sq=dct2_basis(ny) ** 2,
             u_hat=u_hat,
@@ -1267,7 +1250,7 @@ class GridACPDN(MeshDesign):
             + 1j * omega[:, None] * structure.l_src[None, :]
         )
         z = np.empty((cells, omega.size), dtype=complex)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // (max(k, 1) * cells))
+        chunk = max(1, _DENSE_BATCH_ENTRIES // (k * cells))
         for lo in range(0, omega.size, chunk):
             hi = min(lo + chunk, omega.size)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -1280,48 +1263,46 @@ class GridACPDN(MeshDesign):
                 @ w.reshape(-1, ny, nx)
                 @ structure.bx_sq
             ).reshape(-1, cells)
-            if k:
-                fields = (
-                    w[:, None, :] * structure.u_hat.T[None, :, :]
-                )  # (F, k, cells) modal influence, transform-ready layout
-                influence = sfft.idctn(
-                    fields.reshape(-1, ny, nx),
-                    type=2,
-                    axes=(1, 2),
-                    norm="ortho",
-                    workers=-1,
-                ).reshape(hi - lo, k, cells)
-                t = fields @ structure.u_hat  # UᵀM⁻¹U, (F, k, k)
-                columns = [y_src[lo:hi]]
-                if structure.tau > 0:
-                    columns.insert(
-                        0, np.full((hi - lo, 1), -structure.tau, complex)
-                    )
-                columns.append(
+            fields = (
+                w[:, None, :] * structure.u_hat.T[None, :, :]
+            )  # (F, k, cells) modal influence, transform-ready layout
+            influence = sfft.idctn(
+                fields.reshape(-1, ny, nx),
+                type=2,
+                axes=(1, 2),
+                norm="ortho",
+                workers=-1,
+            ).reshape(hi - lo, k, cells)
+            t = fields @ structure.u_hat  # UᵀM⁻¹U, (F, k, k)
+            y_branch = np.concatenate(
+                [
+                    np.full((hi - lo, 1), -structure.tau, complex),
+                    y_src[lo:hi],
                     np.broadcast_to(
                         structure.ring_g, (hi - lo, len(structure.ring_g))
-                    )
+                    ),
+                ],
+                axis=1,
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                capacitance = t + (
+                    (1.0 / y_branch)[:, :, None] * np.eye(k)[None]
                 )
-                y_branch = np.concatenate(columns, axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    capacitance = t + (
-                        (1.0 / y_branch)[:, :, None] * np.eye(k)[None]
-                    )
-                try:
-                    with np.errstate(all="ignore"):
-                        correction = np.linalg.inv(capacitance)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(
-                        "grid impedance source correction is singular: "
-                        f"{exc}"
-                    ) from exc
-                diag = diag - np.einsum(
-                    "faj,fab,fbj->fj",
-                    influence,
-                    correction,
-                    influence,
-                    optimize=True,
-                )
+            try:
+                with np.errstate(all="ignore"):
+                    correction = np.linalg.inv(capacitance)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "grid impedance source correction is singular: "
+                    f"{exc}"
+                ) from exc
+            diag = diag - np.einsum(
+                "faj,fab,fbj->fj",
+                influence,
+                correction,
+                influence,
+                optimize=True,
+            )
             z[:, lo:hi] = diag.T
         return z
 

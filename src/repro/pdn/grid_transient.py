@@ -63,7 +63,13 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError
-from .fast_poisson import FastPoissonOperator, StructuredGridPDN, StructuredSolveError
+from .fast_poisson import (
+    FastPoissonOperator,
+    StructuredGridPDN,
+    StructuredSolveError,
+    branch_columns,
+    mesh_stencil,
+)
 from .grid import GridPDN
 from .mesh import (
     MeshDesign,
@@ -79,6 +85,10 @@ from .transient import droop_and_settle
 #: columns; past this many deviating nodes the correction stops being
 #: "low-rank" and the sparse LU wins.
 MAX_STRUCTURED_DECAP_DEVIATIONS = 64
+
+#: Largest load waveform :meth:`GridTransientPDN.simulate_step` builds
+#: (its (steps + 1, cells) float64 array); longer requests are refused.
+MAX_STEP_WAVEFORM_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -186,27 +196,18 @@ class _FastTransient:
             nx, ny, gx if nx > 1 else 0.0, gy if ny > 1 else 0.0, shift=base
         )
         deflate = self.op.deflation_tau is not None
-        m = int(deflate) + dev_rows.size + self.attach.size + self.ring_a.size
-        u = np.zeros((cells, m))
-        c = np.empty(m)
-        col = 0
-        if deflate:
-            u[:, 0] = 1.0 / np.sqrt(cells)
-            c[0] = -self.op.deflation_tau
-            col = 1
-        for row in dev_rows:
-            u[row, col] = 1.0
-            c[col] = self.g_node[row] - base
-            col += 1
-        for row, g in zip(self.attach, self.g_src):
-            u[row, col] += 1.0
-            c[col] = g
-            col += 1
-        for a, b, g in zip(self.ring_a, self.ring_b, self.g_ring):
-            u[a, col] += 1.0
-            u[b, col] -= 1.0
-            c[col] = g
-            col += 1
+        u = branch_columns(
+            cells, self.attach, self.ring_a, self.ring_b, deflate, dev_rows
+        )
+        c = np.concatenate(
+            [
+                [-self.op.deflation_tau] if deflate else [],
+                self.g_node[dev_rows] - base,
+                self.g_src,
+                self.g_ring,
+            ]
+        )
+        m = c.size
         self._u = u
         self._c = c
         self._z = self.op.solve(u) if m else np.zeros((cells, 0))
@@ -225,15 +226,7 @@ class _FastTransient:
     def _matvec_rows(self, v: np.ndarray) -> np.ndarray:
         """Exact ``(A @ vᵀ)ᵀ`` for (k, cells) rows — stencil, no matrix."""
         field = np.ascontiguousarray(v).reshape(-1, self.ny, self.nx)
-        sten = np.zeros_like(field)
-        if self.nx > 1:
-            dx = (field[:, :, :-1] - field[:, :, 1:]) * self.gx
-            sten[:, :, :-1] += dx
-            sten[:, :, 1:] -= dx
-        if self.ny > 1:
-            dy = (field[:, :-1, :] - field[:, 1:, :]) * self.gy
-            sten[:, :-1, :] += dy
-            sten[:, 1:, :] -= dy
+        sten = mesh_stencil(field, self.gx, self.gy)
         out = sten.reshape(-1, self.cells) + self.g_node * v
         np.add.at(
             out, (slice(None), self.attach), self.g_src * v[:, self.attach]
@@ -269,10 +262,6 @@ class _FastTransient:
                 "structured transient solve produced non-finite values"
             )
         return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A⁻¹ b`` for (cells, k) columns (row-layout core)."""
-        return np.asarray(self.solve_rows(np.ascontiguousarray(b.T)).T)
 
 
 class _TransientStructure:
@@ -754,6 +743,13 @@ class GridTransientPDN(MeshDesign):
             raise ConfigError("sink map carries no current")
         profile = profile / total
         steps = int(round(duration_s / dt_s))
+        nbytes = (steps + 1) * profile.size * 8
+        if nbytes > MAX_STEP_WAVEFORM_BYTES:
+            raise ConfigError(
+                f"duration_s / dt_s gives {steps} steps on {profile.size} "
+                f"cells: a {nbytes / 2**30:.1f} GiB load waveform, over "
+                f"the {MAX_STEP_WAVEFORM_BYTES / 2**30:g} GiB ceiling"
+            )
         waves = np.empty((1, steps + 1, profile.size))
         waves[0, 0] = i_before_a * profile
         waves[0, 1:] = i_after_a * profile

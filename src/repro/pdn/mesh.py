@@ -30,12 +30,14 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from typing import Callable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 import numpy as np
 
 from ..errors import ConfigError
-from .powermap import PowerMap
+
+if TYPE_CHECKING:  # powermap validates its inputs with check_real
+    from .powermap import PowerMap
 
 #: ``engine="auto"`` meshes at or above this cell count solve through
 #: the structured (fast-Poisson) engines; smaller meshes stay on the

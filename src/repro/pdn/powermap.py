@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError
+from .mesh import check_real
 
 DensityFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -61,10 +62,10 @@ class PowerMap:
                 (0 = pure hotspot; 1 = floor integrates to the same
                 total as the Gaussian).
         """
-        if sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if floor < 0:
-            raise ConfigError("floor must be non-negative")
+        for i, coord in enumerate(center):
+            check_real(f"center[{i}]", coord)
+        check_real("sigma", sigma, 0.0, strict=True)
+        check_real("floor", floor, 0.0)
         cx, cy = center
         norm = 1.0 / (2.0 * math.pi * sigma**2)
 
@@ -157,8 +158,7 @@ class PowerMap:
         """
         if nx < 1 or ny < 1:
             raise ConfigError("grid must be at least 1x1")
-        if total_current_a <= 0:
-            raise ConfigError("total current must be positive")
+        check_real("total_current_a", total_current_a, 0.0, strict=True)
         xs = (np.arange(nx) + 0.5) / nx
         ys = (np.arange(ny) + 0.5) / ny
         grid_x, grid_y = np.meshgrid(xs, ys)
@@ -203,6 +203,8 @@ def hotspot_trajectory(
     points = np.asarray(waypoints, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ConfigError("waypoints must be (x, y) pairs")
+    for value in points.flat:
+        check_real("waypoints", value)
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise ConfigError("waypoints must lie inside the unit square")
     # Arc-length parameterization so the hotspot moves at constant

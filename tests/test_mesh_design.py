@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.pdn.fast_poisson import FastPoissonOperator
 from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.grid_transient import GridTransientPDN
 from repro.pdn.powermap import PowerMap
@@ -188,6 +190,14 @@ CASES = [
         BAD | st.just(0.0),
         classes=(GridTransientPDN,),
     ),
+    # The structured engines' operator, which every class builds on.
+    Case("gx", lambda cls, v: FastPoissonOperator(N, N, v, 1.0), NON_FINITE),
+    Case("gy", lambda cls, v: FastPoissonOperator(N, N, 1.0, v), NON_FINITE),
+    Case(
+        "shift",
+        lambda cls, v: FastPoissonOperator(N, N, 1.0, 1.0, shift=v),
+        NON_FINITE,
+    ),
 ]
 
 
@@ -236,6 +246,23 @@ def test_simulate_step_rejects_nan_time_axis():
         tp.simulate_step(1.0, 2.0, duration_s=math.nan)
     with pytest.raises(ConfigError, match="dt_s"):
         tp.simulate(np.ones((12, N * N)), math.nan)
+
+
+def test_simulate_step_refuses_oversized_waveform():
+    """A 1 s step at 10 ns on an 8×8 mesh asked for a 47.7 GiB load
+    waveform; it is now refused up front, before any allocation."""
+    tp = GridTransientPDN(0.01, 0.01, 1e-2, nx=8, ny=8)
+    tp.add_source("a", 0.0, 0.0, 1.0, 1e-3)
+    tp.set_sinks(PowerMap.uniform(), 10.0)
+    tp.set_decap_density(1.0, 1e-7, 1e-3, 1e-12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="duration_s / dt_s.*47.7 GiB"):
+            tp.simulate_step(1.0, 2.0, duration_s=1.0, dt_s=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ac_from_grid_rejects_per_edge_variation():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.pdn.powermap import PowerMap
+from repro.pdn.powermap import PowerMap, hotspot_trajectory
+
+NAN = float("nan")
 
 
 class TestUniformMap:
@@ -132,3 +134,40 @@ class TestValidation:
     def test_rejects_zero_grid(self):
         with pytest.raises(ConfigError):
             PowerMap.uniform().cell_currents(0, 4, 1.0)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("center", lambda: PowerMap.gaussian(center=(NAN, 0.5))),
+            ("center", lambda: PowerMap.gaussian(center=(0.5, float("inf")))),
+            ("sigma", lambda: PowerMap.gaussian(sigma=NAN)),
+            ("sigma", lambda: PowerMap.gaussian(sigma=float("inf"))),
+            ("floor", lambda: PowerMap.gaussian(floor=NAN)),
+            (
+                "total_current_a",
+                lambda: PowerMap.uniform().cell_currents(4, 4, NAN),
+            ),
+            (
+                "total_current_a",
+                lambda: PowerMap.uniform().cell_currents(4, 4, float("inf")),
+            ),
+            (
+                "waypoints",
+                lambda: hotspot_trajectory([(0.2, 0.2), (NAN, 0.8)], 4, 4, 4, 1.0),
+            ),
+            (
+                "sigma",
+                lambda: hotspot_trajectory(
+                    [(0.2, 0.2), (0.8, 0.8)], 4, 4, 4, 1.0, sigma=NAN
+                ),
+            ),
+            (
+                "total_current_a",
+                lambda: hotspot_trajectory([(0.2, 0.2), (0.8, 0.8)], 4, 4, 4, NAN),
+            ),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, name, call):
+        """NaN used to slip past ``x <= 0`` checks into NaN frames."""
+        with pytest.raises(ConfigError, match=name):
+            call()

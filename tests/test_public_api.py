@@ -7,6 +7,9 @@ touching internals.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -16,6 +19,12 @@ class TestExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not info.ispkg:
+                continue
+            package = importlib.import_module(info.name)
+            for name in getattr(package, "__all__", ()):
+                assert hasattr(package, name), f"{info.name}.{name}"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
