@@ -10,7 +10,11 @@ checkouts of the code can be compared with ``np.array_equal``:
 Cases: structured DC ``solve`` and ``solve_disabled_many`` (128², 6×6
 VRs, ring bus); PCG DC (64² with edge scales); structured AC
 ``impedance_map`` (32², 200 points); structured and factorized
-``simulate_many`` (64² and 32²); one seeded ``optimize_decap_placement``.
+``simulate_many`` (64² and 32²); one seeded ``optimize_decap_placement``;
+a factorized N−2 sweep (48², 4×4 VRs, ring bus) through both
+``solve_disabled_many`` and single ``solve_disabled`` calls; and two
+zero-shift structured ``simulate_step`` designs (12², decap-free and
+ten decap islands) that take the deflation and refinement path.
 """
 
 from __future__ import annotations
@@ -100,6 +104,38 @@ def record() -> dict[str, np.ndarray]:
     out["place.density"] = result.density_after
     out["place.peaks"] = result.peak_map_after
     out["place.history"] = np.asarray(result.violating_fraction_history)
+
+    nk = GridPDN(side, side, sheet, nx=48, ny=48, engine="factorized")
+    vrs = _vr_array(4)
+    for k, (x, y) in enumerate(vrs):
+        nk.add_source(f"vr{k}", x, y, 1.0, rout)
+    nk.connect_sources_with_ring_bus(2e-3)
+    nk.set_sink_array(PowerMap.hotspot_mixture().cell_currents(48, 48, 300.0))
+    pairs = [tuple(sorted(rng.choice(len(vrs), 2, replace=False))) for _ in range(16)]
+    for k, sol in enumerate(nk.solve_disabled_many(pairs[:12])):
+        out[f"nk48.{k}.v"] = sol.voltage_map
+        out[f"nk48.{k}.i"] = sol.source_currents_a
+    for k, pair in enumerate(pairs[12:], start=12):
+        sol = nk.solve_disabled(pair)
+        out[f"nk48.{k}.v"] = sol.voltage_map
+        out[f"nk48.{k}.i"] = sol.source_currents_a
+
+    islands = np.zeros((12, 12))
+    islands.ravel()[rng.choice(144, size=10, replace=False)] = 2.0
+    for name, density in (("free", None), ("islands", islands)):
+        pdn = GridTransientPDN(2e-2, 2e-2, 4e-3, nx=12, ny=12, engine="structured")
+        for k, (x, y) in enumerate([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9)]):
+            pdn.add_source(f"vr{k}", x, y, 1.0, 0.02, inductance_h=l_src)
+        pdn.connect_sources_with_ring_bus(5e-3)
+        pdn.set_sinks(PowerMap.hotspot_mixture(), 120.0)
+        if density is not None:
+            pdn.set_decap_density(density, *decap)
+        result = pdn.simulate_step(60.0, 120.0, duration_s=5e-8, dt_s=1e-10, probe_nodes=[(6, 6)])
+        assert result.engine == "structured"
+        out[f"tr12{name}.vmin"] = result.v_min_map
+        out[f"tr12{name}.vfinal"] = result.v_final_map
+        out[f"tr12{name}.trace"] = result.min_voltage_trace_v
+        out[f"tr12{name}.probe"] = result.probe_voltages_v
     return out
 
 
@@ -110,7 +146,9 @@ def compare(path_a: str, path_b: str) -> int:
         return 1
     bad = [key for key in sorted(a.files) if not np.array_equal(a[key], b[key])]
     for key in bad:
-        print(f"DIFFERS {key}: max |Δ| = {np.abs(a[key] - b[key]).max():.3e}")
+        delta = np.abs(a[key] - b[key]).max()
+        relative = delta / max(np.abs(a[key]).max(), np.finfo(float).tiny)
+        print(f"DIFFERS {key}: max |Δ| = {delta:.3e} ({relative:.1e} relative)")
     print(f"{len(a.files) - len(bad)}/{len(a.files)} arrays bit-identical")
     return 1 if bad else 0
 

@@ -13,15 +13,22 @@ structure as a small correction:
   is diagonalized exactly by the orthonormal **DCT-II** along each
   axis.  One 2-D transform pair per solve, trivially batched over
   right-hand-side columns.
-* ``G`` alone is singular (the constant mode); the zero eigenvalue is
-  deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is subtracted back out
-  through the same correction that carries the source branches.
+* A per-node shunt diagonal (zero for DC, the decap companion
+  conductances of the transient stamp) enters as an operator shift
+  equal to its most common value; the few nodes that deviate ride the
+  correction as unit columns, up to
+  :data:`MAX_STRUCTURED_DECAP_DEVIATIONS`.
+* With a zero shift ``G`` is singular (the constant mode); the zero
+  eigenvalue is deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is
+  subtracted back out through the same correction, and one
+  iterative-refinement round recovers the digits the deflated solve
+  loses.  A shifted operator needs neither.
 * Source output conductances (rank-1 each), ring-bus segments (rank-1
-  each), and the deflation column enter as a rank-k Woodbury
-  correction ``A = M + U C Uᵀ`` on the fast operator ``M`` — the same
-  identity :meth:`repro.pdn.mna.FactorizedPDN.solve_modified` uses on
-  the cached LU, here with ``M⁻¹`` a transform pair instead of a
-  back-substitution.
+  each), shunt deviations and the deflation column enter as one rank-k
+  Woodbury correction ``A = M + U C Uᵀ`` on the fast operator ``M`` —
+  the same identity :meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many`
+  uses on the cached LU, here with ``M⁻¹`` a transform pair instead of
+  a back-substitution.
 * Per-edge metal variation makes the interior genuinely non-uniform;
   those systems run preconditioned CG (:mod:`repro.pdn.pcg`) with the
   *exact* uniform-mean structured solve as the preconditioner.
@@ -41,6 +48,11 @@ from .mesh import check_real
 from .mna import DCSolution, package_dc_solution
 from .network import CompiledNetlist
 from .pcg import pcg_solve
+
+#: Shunt-diagonal non-uniformity rides the Woodbury correction as unit
+#: columns; past this many deviating nodes the correction stops being
+#: "low-rank" and the sparse LU wins.
+MAX_STRUCTURED_DECAP_DEVIATIONS = 64
 
 
 class StructuredSolveError(SolverError):
@@ -177,53 +189,55 @@ class FastPoissonOperator:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``M⁻¹ @ rhs`` for one column ``(cells,)`` or a stack
-        ``(cells, k)`` — one batched DCT-II pair regardless of k."""
+        ``(cells, k)`` — one batched DCT-II pair regardless of k.
+
+        The transforms run on ``(k, cells)`` rows, each viewed as a
+        ``(ny, nx)`` field.  A stack that is the transpose of a
+        C-contiguous row array (the transient step loop's layout) is
+        therefore transformed without a copy, and the result keeps
+        that layout.
+        """
         arr = np.asarray(rhs)
         single = arr.ndim == 1
-        columns = arr[:, None] if single else arr
-        if columns.shape[0] != self.cells:
+        rows = np.ascontiguousarray(arr[None] if single else arr.T)
+        if rows.ndim != 2 or rows.shape[1] != self.cells:
             raise ConfigError(
-                f"rhs must have {self.cells} rows, got {columns.shape[0]}"
+                f"rhs must have {self.cells} rows, got shape {arr.shape}"
             )
-        solved = self.solve_rows(columns.T).T
-        return solved[:, 0] if single else solved
-
-    def solve_rows(self, rhs: np.ndarray) -> np.ndarray:
-        """``(M⁻¹ @ rhsᵀ)ᵀ`` for a C-contiguous row stack ``(k, cells)``.
-
-        The zero-copy layout for hot loops: each row views directly as
-        a ``(ny, nx)`` field, so — unlike :meth:`solve` — no transpose
-        copies bracket the DCT pair.
-        """
-        arr = np.ascontiguousarray(rhs)
-        if arr.ndim != 2 or arr.shape[1] != self.cells:
-            raise ConfigError(
-                f"row rhs must be (k, {self.cells}), got {arr.shape}"
-            )
-        field = arr.reshape(-1, self.ny, self.nx)
+        field = rows.reshape(-1, self.ny, self.nx)
         hat = sfft.dctn(field, type=2, axes=(1, 2), norm="ortho")
         hat /= self._lam[None, :, :]
         out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
-        return out.reshape(-1, self.cells)
+        out = out.reshape(-1, self.cells)
+        return out[0] if single else out.T
 
 
 class StructuredGridPDN:
-    """The fast-Poisson engine behind :class:`~repro.pdn.grid.GridPDN`.
+    """The fast-Poisson engine behind :class:`~repro.pdn.grid.GridPDN`
+    and the structured :class:`~repro.pdn.grid_transient.GridTransientPDN`.
 
     Solves the *reduced* (mesh-node-only) system — source branches
-    eliminated into diagonal conductances and RHS injections — then
-    reconstructs the full MNA vector (EMF node voltages, branch
-    currents) so solutions are packaged and physics-verified through
-    exactly the same :func:`repro.pdn.mna.package_dc_solution` path as
-    the factorized engine.
+    eliminated into diagonal conductances and RHS injections, plus a
+    per-node ``shunt_conductance`` diagonal (zeros for DC, the decap
+    companion conductances for a transient step) — then reconstructs
+    the full MNA vector (EMF node voltages, branch currents) so
+    solutions are packaged and physics-verified through exactly the
+    same :func:`repro.pdn.mna.package_dc_solution` path as the
+    factorized engine.
 
     Two modes, chosen by the presence of per-edge variation:
 
-    * **uniform** — exact: DCT-diagonalized interior + rank-k Woodbury
-      correction + one iterative-refinement round.
+    * **uniform** — exact: DCT-diagonalized interior shifted by the
+      most common shunt value + rank-k Woodbury correction, plus one
+      iterative-refinement round when the shift is zero (deflated).
     * **pcg** — per-edge conductance scale maps break the structure;
       CG iterates on the true sparse operator with the uniform-mean
       structured solve as preconditioner.
+
+    Raises:
+        StructuredSolveError: more than
+            :data:`MAX_STRUCTURED_DECAP_DEVIATIONS` (or a quarter of
+            the nodes) deviate from the most common shunt value.
     """
 
     def __init__(
@@ -235,9 +249,10 @@ class StructuredGridPDN:
         edge_conductance_y: float,
         attach_rows: np.ndarray,
         source_conductance: np.ndarray,
-        ring_a: np.ndarray | None = None,
-        ring_b: np.ndarray | None = None,
-        ring_conductance: np.ndarray | None = None,
+        shunt_conductance: np.ndarray,
+        ring_a: np.ndarray,
+        ring_b: np.ndarray,
+        ring_conductance: np.ndarray,
         edge_scale_x: np.ndarray | None = None,
         edge_scale_y: np.ndarray | None = None,
     ) -> None:
@@ -251,21 +266,9 @@ class StructuredGridPDN:
             raise ConfigError("structured engine needs at least one source")
         if np.any(self.g_src <= 0):
             raise ConfigError("source conductances must be positive")
-        self.ring_a = (
-            np.asarray(ring_a, dtype=np.int64)
-            if ring_a is not None
-            else np.empty(0, dtype=np.int64)
-        )
-        self.ring_b = (
-            np.asarray(ring_b, dtype=np.int64)
-            if ring_b is not None
-            else np.empty(0, dtype=np.int64)
-        )
-        self.g_ring = (
-            np.asarray(ring_conductance, dtype=float)
-            if ring_conductance is not None
-            else np.empty(0)
-        )
+        self.ring_a = np.asarray(ring_a, dtype=np.int64)
+        self.ring_b = np.asarray(ring_b, dtype=np.int64)
+        self.g_ring = np.asarray(ring_conductance, dtype=float)
         self._scale_x = None if edge_scale_x is None else np.asarray(
             edge_scale_x, dtype=float
         ).ravel()
@@ -290,15 +293,45 @@ class StructuredGridPDN:
         ) else gy
         self.gx = gx
         self.gy = gy
-        self.op = FastPoissonOperator(nx, ny, gx_op, gy_op)
+
+        # The operator shift is the most common shunt value (a uniform
+        # decap density leaves no deviations); every other node's
+        # offset from it becomes a unit Woodbury column.
+        self.shunt = np.asarray(shunt_conductance, dtype=float)
+        values, counts = np.unique(self.shunt, return_counts=True)
+        shift = float(values[int(np.argmax(counts))])
+        self._dev_rows = np.nonzero(self.shunt != shift)[0]
+        limit = min(MAX_STRUCTURED_DECAP_DEVIATIONS, max(1, self.cells // 4))
+        if self._dev_rows.size > limit:
+            raise StructuredSolveError(
+                f"{self._dev_rows.size} shunt deviations exceed the "
+                f"rank-{limit} correction budget"
+            )
+        self.op = FastPoissonOperator(nx, ny, gx_op, gy_op, shift=shift)
+        self._deflated = self.op.deflation_tau is not None
 
         # Woodbury columns of A = M + U C Uᵀ: the deflation column
-        # (subtracting the τ·u₀u₀ᵀ shift back out), one per source
-        # branch, one per ring segment.
-        u = branch_columns(self.cells, self.attach, self.ring_a, self.ring_b)
-        self._c = np.concatenate(
-            [[-self.op.deflation_tau], self.g_src, self.g_ring]
+        # (subtracting the τ·u₀u₀ᵀ shift back out) when the shift is
+        # zero, one per shunt deviation, one per source branch, one per
+        # ring segment.
+        u = branch_columns(
+            self.cells,
+            self.attach,
+            self.ring_a,
+            self.ring_b,
+            self._deflated,
+            self._dev_rows,
         )
+        self._c = np.concatenate(
+            [
+                [-self.op.deflation_tau] if self._deflated else [],
+                self.shunt[self._dev_rows] - shift,
+                self.g_src,
+                self.g_ring,
+            ]
+        )
+        # Column of the first source branch (disabling drops it).
+        self._src_col = int(self._deflated) + self._dev_rows.size
         # Z = M⁻¹U: one batched transform pair, paid at construction,
         # stored C-contiguous so every correction multiplies it in place.
         self._z = np.ascontiguousarray(self.op.solve(u))
@@ -327,6 +360,7 @@ class StructuredGridPDN:
             -1, self.cells
         )
         vf = field.reshape(-1, self.cells)
+        flat += self.shunt * vf
         batch = np.arange(flat.shape[0])[:, None]
         if self.ring_a.size:
             drop = (vf[:, self.ring_a] - vf[:, self.ring_b]) * self.g_ring
@@ -344,18 +378,21 @@ class StructuredGridPDN:
 
     def _live_columns(self, disabled: np.ndarray) -> np.ndarray:
         live = np.ones(self._c.size, dtype=bool)
-        live[1 + disabled] = False
+        live[self._src_col + disabled] = False
         return np.nonzero(live)[0]
 
     def _u_transpose_dot(self, y: np.ndarray) -> np.ndarray:
         """``Uᵀ y`` from the column structure — the deflation row is a
-        scaled sum, sources are gathers, ring segments differences —
-        never a dense (cells × k) product."""
-        head = y.sum(axis=0, keepdims=True) / np.sqrt(self.cells)
-        return np.concatenate(
-            [head, y[self.attach], y[self.ring_a] - y[self.ring_b]],
-            axis=0,
-        )
+        scaled sum, shunt deviations and sources are gathers, ring
+        segments differences — never a dense (cells × k) product."""
+        rows = [
+            y[self._dev_rows],
+            y[self.attach],
+            y[self.ring_a] - y[self.ring_b],
+        ]
+        if self._deflated:
+            rows.insert(0, y.sum(axis=0, keepdims=True) / np.sqrt(self.cells))
+        return np.concatenate(rows, axis=0)
 
     def _correct(self, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Apply the Woodbury identity to ``y = M⁻¹ b``.
@@ -363,7 +400,8 @@ class StructuredGridPDN:
         ``x = y − Z_c (C_c⁻¹ + UᵀZ|_c)⁻¹ U_cᵀ y`` over the live column
         subset ``columns``.  The product runs against the whole stored
         ``Z``: dropped columns get a zero coefficient, so no
-        (cells × k) block is ever gathered.
+        (cells × k) block is ever gathered.  The update lands in ``y``
+        itself, so a transposed row stack stays one.
         """
         s = self._t0[np.ix_(columns, columns)] + np.diag(
             1.0 / self._c[columns]
@@ -380,7 +418,8 @@ class StructuredGridPDN:
             full = np.zeros((self._c.size,) + coeff.shape[1:])
             full[columns] = coeff
             coeff = full
-        return y - self._z @ coeff
+        y -= self._z @ coeff
+        return y
 
     def _uniform_solve(
         self, b: np.ndarray, columns: np.ndarray
@@ -407,13 +446,25 @@ class StructuredGridPDN:
             if disabled is None
             else np.asarray(disabled, dtype=np.int64)
         )
+        return self._solve(b, disabled)
+
+    def _solve(self, b: np.ndarray, disabled: np.ndarray) -> np.ndarray:
+        """The body of :meth:`solve_reduced`, which benchmark tracing
+        wraps by name; the transient step loop calls this directly,
+        once per time step.  Its ``b`` there is the ``(cells, k)``
+        transpose of a C-contiguous ``(k, cells)`` stack, and the
+        result keeps that layout.
+        """
         columns = self._live_columns(disabled)
         if self.mode == "uniform":
             x = self._uniform_solve(b, columns)
-            # One refinement round on the true operator tightens the
-            # correction to ~1e-13 relative for one extra transform.
-            residual = b - self._matvec(x, disabled)
-            x = x + self._uniform_solve(residual, columns)
+            if self._deflated:
+                # The deflated solve loses digits to the τ·u₀u₀ᵀ
+                # cancellation; one refinement round on the true
+                # operator restores ~1e-13 relative.  A shifted
+                # operator is diagonally dominant enough without it.
+                residual = b - self._matvec(x, disabled)
+                x = x + self._uniform_solve(residual, columns)
         else:
             result = pcg_solve(
                 lambda v: self._matvec(v, disabled),
@@ -496,29 +547,12 @@ class StructuredGridPDN:
             disabled if disabled.size else None,
         )
 
-    def _normalize_disabled(self, disable_sources) -> np.ndarray:
-        disabled = np.unique(np.asarray(disable_sources, dtype=np.int64))
-        if disabled.size and (
-            disabled.min() < 0 or disabled.max() >= self.attach.size
-        ):
-            raise SolverError("disable_sources index out of range")
-        if disabled.size >= self.attach.size:
-            raise SolverError("cannot disable every source")
-        return disabled
-
     def solve(
-        self,
-        cs_amp: np.ndarray,
-        vs_volt: np.ndarray,
-        check: bool = True,
-        disable_sources: "np.ndarray | tuple[int, ...] | list[int]" = (),
+        self, cs_amp: np.ndarray, vs_volt: np.ndarray, check: bool = True
     ) -> DCSolution:
-        """Solve one operating point (optionally with open sources)."""
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
-        disabled = self._normalize_disabled(disable_sources)
-        b = self._reduced_rhs(amp, volt, disabled)
-        v = self.solve_reduced(b, disabled)
-        return self._package(v, amp, volt, disabled, check)
+        """Solve one operating point: :meth:`solve_disabled_many` with
+        one all-sources-live scenario."""
+        return self.solve_disabled_many([()], cs_amp, vs_volt, check)[0]
 
     def solve_many(
         self,
@@ -552,6 +586,7 @@ class StructuredGridPDN:
     ) -> list[DCSolution]:
         """A whole failure sweep on shared transforms.
 
+        Each scenario is a list of source indices to open-circuit.
         Every scenario reuses the memoized influence columns ``Z``.
         Per scenario the cost is two transform pairs (the solve and
         its refinement round), two s×s dense solves and two products
@@ -560,7 +595,13 @@ class StructuredGridPDN:
         amp, volt = self._scenario_values(cs_amp, vs_volt)
         solutions: list[DCSolution] = []
         for scenario in scenarios:
-            disabled = self._normalize_disabled(scenario)
+            disabled = np.unique(np.asarray(scenario, dtype=np.int64))
+            if disabled.size and (
+                disabled.min() < 0 or disabled.max() >= self.attach.size
+            ):
+                raise SolverError("disable_sources index out of range")
+            if disabled.size >= self.attach.size:
+                raise SolverError("cannot disable every source")
             b = self._reduced_rhs(amp, volt, disabled)
             v = self.solve_reduced(b, disabled)
             solutions.append(self._package(v, amp, volt, disabled, check))

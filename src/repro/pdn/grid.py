@@ -62,6 +62,7 @@ from .mesh import (  # STRUCTURED_AUTO_MIN_CELLS is re-exported
     STRUCTURED_AUTO_MIN_CELLS,
     MeshDesign,
     check_engine,
+    check_index,
     check_map,
     check_real,
     mesh_edge_rows,
@@ -391,6 +392,7 @@ class GridPDN(MeshDesign):
             edge_conductance_y=1.0 / ry,
             attach_rows=attach_rows,
             source_conductance=1.0 / r_out,
+            shunt_conductance=np.zeros(cells),
             ring_a=ring_a,
             ring_b=ring_b,
             ring_conductance=np.full(
@@ -524,33 +526,12 @@ class GridPDN(MeshDesign):
         sweep pays one factorization for the whole bank and k+1
         back-substitutions per scenario.  Indices follow attachment
         order; disabled sources report exactly 0 A.  ``method`` is
-        forwarded to :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified`
+        forwarded to :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified_many`
         (``"auto"`` falls back to refactorization when the correction
-        is ill-conditioned).
+        is ill-conditioned).  The one-scenario case of
+        :meth:`solve_disabled_many`.
         """
-        indices = self._normalize_disabled(disabled_sources)
-        structure, sinks, volts = self._solve_inputs()
-
-        def factorized() -> DCSolution:
-            return structure.solver.solve_modified(
-                disable_sources=indices,
-                cs_amp=sinks,
-                vs_volt=volts,
-                check=check,
-                method=method,
-            )
-
-        if self._resolve_engine() == "structured":
-            dc = self._structured_call(
-                structure,
-                lambda fast: fast.solve(
-                    sinks, volts, check=check, disable_sources=indices
-                ),
-                factorized,
-            )
-        else:
-            dc = factorized()
-        return self._package_disabled(structure, dc, sinks, indices)
+        return self.solve_disabled_many([disabled_sources], check, method)[0]
 
     def solve_disabled_many(
         self,
@@ -592,31 +573,28 @@ class GridPDN(MeshDesign):
             )
         else:
             solved = factorized()
-        return [
-            self._package_disabled(structure, dc, sinks, indices)
-            for indices, dc in zip(normalized, solved)
+        solutions = [
+            self._package_solution(structure, dc, sinks) for dc in solved
         ]
+        for indices, solution in zip(normalized, solutions):
+            # The dead rout branches carry only O(eps) numerical residue.
+            solution.source_currents_a[list(indices)] = 0.0
+        return solutions
 
     def _normalize_disabled(self, disabled_sources) -> tuple[int, ...]:
         """Validate one disable scenario's source indices."""
-        indices = tuple(int(i) for i in disabled_sources)
-        if any(i < 0 or i >= len(self._sources) for i in indices):
-            raise ConfigError("disabled source index out of range")
-        if len(set(indices)) >= len(self._sources):
+        indices = check_index(
+            "disabled_sources", disabled_sources, len(self._sources)
+        )
+        if indices.ndim != 1:
+            raise ConfigError(
+                "disabled_sources must be a 1-D list of source indices "
+                f"per scenario, got {disabled_sources!r}"
+            )
+        disabled = tuple(indices.tolist())
+        if len(set(disabled)) >= len(self._sources):
             raise ConfigError("cannot disable every source")
-        return indices
-
-    def _package_disabled(
-        self,
-        structure: _GridStructure,
-        dc: DCSolution,
-        sinks: np.ndarray,
-        indices: tuple[int, ...],
-    ) -> GridSolution:
-        solution = self._package_solution(structure, dc, sinks)
-        # The dead rout branches carry only O(eps) numerical residue.
-        solution.source_currents_a[list(set(indices))] = 0.0
-        return solution
+        return disabled
 
     def preload_failure_sweep(
         self,
@@ -1019,11 +997,9 @@ class GridACPDN(MeshDesign):
         if not self._sources:
             raise ConfigError("no sources attached; call add_source first")
         cells = self.nx * self.ny
-        rows = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        rows = np.atleast_1d(check_index("nodes", nodes, cells))
         if rows.ndim != 1 or rows.size == 0:
             raise ConfigError("nodes must be a non-empty 1-D index list")
-        if np.any(rows < 0) or np.any(rows >= cells):
-            raise ConfigError("probe node index outside the mesh")
         structure = self._ensure_reduced()
         omega = 2.0 * math.pi * freqs
         data = self._reduced_csc_data(structure, omega)

@@ -44,12 +44,13 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
 * ``factorized`` — the companion matrix as a reduced node-only
   :class:`~repro.pdn.network.CompiledNetlist` through the shared
   sparse-LU cache;
-* ``structured`` — the DCT-II diagonalization of
-  :mod:`~repro.pdn.fast_poisson` with the uniform part of the decap
-  diagonal as the operator shift and everything irregular (decap
-  non-uniformity, VR branches, ring segments, deflation) as a rank-s
-  Woodbury correction plus one refinement round, so large meshes step
-  in O(n² log n) without ever forming the LU.  ``engine="auto"``
+* ``structured`` — the companion and DC-init stamps as two
+  :class:`~repro.pdn.fast_poisson.StructuredGridPDN` solves, with the
+  decap companion conductances as the shunt diagonal: its most common
+  value shifts the DCT-II operator and everything irregular (decap
+  non-uniformity, VR branches, ring segments) is a rank-s Woodbury
+  correction, so large meshes step in O(n² log n) without ever
+  forming the LU.  ``engine="auto"``
   selects by mesh size and falls back on
   :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
 """
@@ -60,31 +61,20 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError
-from .fast_poisson import (
-    FastPoissonOperator,
-    StructuredGridPDN,
-    StructuredSolveError,
-    branch_columns,
-    mesh_stencil,
-)
+from .fast_poisson import StructuredGridPDN, StructuredSolveError
 from .grid import GridPDN
 from .mesh import (
     MeshDesign,
     check_engine,
+    check_index,
     check_real,
     mesh_edge_rows,
     resolve_engine,
 )
 from .network import GROUND_INDEX, CompiledNetlist
 from .transient import droop_and_settle
-
-#: The structured engine carries decap-map non-uniformity as Woodbury
-#: columns; past this many deviating nodes the correction stops being
-#: "low-rank" and the sparse LU wins.
-MAX_STRUCTURED_DECAP_DEVIATIONS = 64
 
 #: Largest load waveform :meth:`GridTransientPDN.simulate_step` builds
 #: (its (steps + 1, cells) float64 array); longer requests are refused.
@@ -144,124 +134,6 @@ class GridTransientResult:
             int(np.argmax(self.droop_map)), self.v_pre_map.shape
         )
         return int(ix), int(iy)
-
-
-class _FastTransient:
-    """DCT-II + Woodbury solver for the trapezoidal companion matrix.
-
-    ``A = L(gx, gy) + diag(g_node) + Σ g_src·e·eᵀ + ring`` is split as
-    ``M + U C Uᵀ`` with ``M`` the uniform Poisson operator shifted by
-    the *most common* per-node shunt conductance (a uniform decap
-    density makes the deviation set empty); per-node deviations, VR
-    branches, ring segments, and — when the base shift is zero — the
-    deflation column ride in the correction.  Decap-free (zero-shift)
-    systems get one refinement round on the exact stencil matvec;
-    shifted systems are diagonally dominant enough that the plain
-    Woodbury apply already lands at ~1e-13 relative.
-    """
-
-    def __init__(
-        self,
-        nx: int,
-        ny: int,
-        gx: float,
-        gy: float,
-        g_node: np.ndarray,
-        attach: np.ndarray,
-        g_src: np.ndarray,
-        ring_a: np.ndarray,
-        ring_b: np.ndarray,
-        g_ring: np.ndarray,
-    ) -> None:
-        cells = nx * ny
-        self.nx, self.ny, self.cells = nx, ny, cells
-        self.gx, self.gy = gx, gy
-        self.g_node = np.asarray(g_node, dtype=float)
-        self.attach = np.asarray(attach, dtype=np.int64)
-        self.g_src = np.asarray(g_src, dtype=float)
-        self.ring_a = np.asarray(ring_a, dtype=np.int64)
-        self.ring_b = np.asarray(ring_b, dtype=np.int64)
-        self.g_ring = np.asarray(g_ring, dtype=float)
-
-        values, counts = np.unique(self.g_node, return_counts=True)
-        base = float(values[int(np.argmax(counts))])
-        dev_rows = np.nonzero(self.g_node != base)[0]
-        limit = min(MAX_STRUCTURED_DECAP_DEVIATIONS, max(1, cells // 4))
-        if dev_rows.size > limit:
-            raise StructuredSolveError(
-                f"{dev_rows.size} decap-map deviations exceed the "
-                f"rank-{limit} correction budget"
-            )
-        self.op = FastPoissonOperator(
-            nx, ny, gx if nx > 1 else 0.0, gy if ny > 1 else 0.0, shift=base
-        )
-        deflate = self.op.deflation_tau is not None
-        u = branch_columns(
-            cells, self.attach, self.ring_a, self.ring_b, deflate, dev_rows
-        )
-        c = np.concatenate(
-            [
-                [-self.op.deflation_tau] if deflate else [],
-                self.g_node[dev_rows] - base,
-                self.g_src,
-                self.g_ring,
-            ]
-        )
-        m = c.size
-        self._u = u
-        self._c = c
-        self._z = self.op.solve(u) if m else np.zeros((cells, 0))
-        s = self._u.T @ self._z + np.diag(1.0 / c) if m else np.zeros((0, 0))
-        if not np.all(np.isfinite(s)):
-            raise StructuredSolveError(
-                "structured transient correction is non-finite"
-            )
-        try:
-            self._s_lu = lu_factor(s) if m else None
-        except ValueError as exc:  # pragma: no cover - singular S
-            raise StructuredSolveError(
-                f"structured transient correction failed: {exc}"
-            ) from exc
-
-    def _matvec_rows(self, v: np.ndarray) -> np.ndarray:
-        """Exact ``(A @ vᵀ)ᵀ`` for (k, cells) rows — stencil, no matrix."""
-        field = np.ascontiguousarray(v).reshape(-1, self.ny, self.nx)
-        sten = mesh_stencil(field, self.gx, self.gy)
-        out = sten.reshape(-1, self.cells) + self.g_node * v
-        np.add.at(
-            out, (slice(None), self.attach), self.g_src * v[:, self.attach]
-        )
-        if self.ring_a.size:
-            drop = self.g_ring * (v[:, self.ring_a] - v[:, self.ring_b])
-            np.add.at(out, (slice(None), self.ring_a), drop)
-            np.add.at(out, (slice(None), self.ring_b), -drop)
-        return out
-
-    def _apply_rows(self, b: np.ndarray) -> np.ndarray:
-        y = self.op.solve_rows(b)
-        if self._s_lu is None:
-            return y
-        w = lu_solve(self._s_lu, (y @ self._u).T)
-        return y - w.T @ self._z.T
-
-    def solve_rows(self, b: np.ndarray) -> np.ndarray:
-        """``(A⁻¹ bᵀ)ᵀ`` for a C-contiguous row stack (k, cells).
-
-        The trapezoidal stamp carries every decap branch's companion
-        conductance on the diagonal, so the operator is strongly
-        diagonally dominant and a single Woodbury-corrected apply is
-        already accurate to ~1e-13 relative — the refinement round is
-        reserved for zero-shift (decap-free) systems where the deflated
-        Poisson solve loses digits.
-        """
-        x = self._apply_rows(b)
-        if self.op.deflation_tau is not None:
-            x = x + self._apply_rows(b - self._matvec_rows(x))
-        if not np.all(np.isfinite(x)):
-            raise StructuredSolveError(
-                "structured transient solve produced non-finite values"
-            )
-        return x
 
 
 class _TransientStructure:
@@ -467,7 +339,7 @@ class _TransientStructure:
         self._solver = None
         self._dc_solver = None
         self._jump_solver = None
-        self._fast: _FastTransient | None = None
+        self._fast: StructuredGridPDN | None = None
         self._dc_fast: StructuredGridPDN | None = None
 
     # -- factorized engine -------------------------------------------------------
@@ -501,35 +373,46 @@ class _TransientStructure:
 
     # -- structured engine -------------------------------------------------------
 
-    def fast(self) -> _FastTransient:
+    def _structured(
+        self,
+        compiled: CompiledNetlist,
+        g_x: float,
+        g_y: float,
+        g_src: np.ndarray,
+        g_node: np.ndarray,
+    ) -> StructuredGridPDN:
+        return StructuredGridPDN(
+            compiled=compiled,
+            nx=self.nx,
+            ny=self.ny,
+            edge_conductance_x=g_x,
+            edge_conductance_y=g_y,
+            attach_rows=self.attach,
+            source_conductance=g_src,
+            shunt_conductance=g_node,
+            ring_a=self.ring_a,
+            ring_b=self.ring_b,
+            ring_conductance=self.g_ring,
+        )
+
+    def fast(self) -> StructuredGridPDN:
+        """The structured companion solve (decap shunts on the
+        diagonal)."""
         if self._fast is None:
-            self._fast = _FastTransient(
-                self.nx,
-                self.ny,
-                self.g_x,
-                self.g_y,
-                self.g_node,
-                self.attach,
-                self.g_s,
-                self.ring_a,
-                self.ring_b,
-                self.g_ring,
+            self._fast = self._structured(
+                self.compiled, self.g_x, self.g_y, self.g_s, self.g_node
             )
         return self._fast
 
     def dc_fast(self) -> StructuredGridPDN:
+        """The structured DC-init solve (capacitors open)."""
         if self._dc_fast is None:
-            self._dc_fast = StructuredGridPDN(
-                compiled=self.dc_compiled,
-                nx=self.nx,
-                ny=self.ny,
-                edge_conductance_x=self.g_x_dc,
-                edge_conductance_y=self.g_y_dc,
-                attach_rows=self.attach,
-                source_conductance=self.g_dc,
-                ring_a=self.ring_a,
-                ring_b=self.ring_b,
-                ring_conductance=self.g_ring,
+            self._dc_fast = self._structured(
+                self.dc_compiled,
+                self.g_x_dc,
+                self.g_y_dc,
+                self.g_dc,
+                np.zeros(self.cells),
             )
         return self._dc_fast
 
@@ -634,15 +517,22 @@ class GridTransientPDN(MeshDesign):
         return resolve_engine(self.engine, self.nx * self.ny)
 
     def _probe_rows(self, probe_nodes) -> tuple[int, ...]:
+        """Flattened mesh rows of ``probe_nodes`` entries: a row index
+        or an ``(ix, iy)`` pair, each coordinate checked on its own
+        axis."""
         rows: list[int] = []
         for probe in probe_nodes:
             if np.ndim(probe) == 0:
-                row = int(probe)
+                row = int(check_index("probe_nodes", probe, self.nx * self.ny))
+            elif np.shape(probe) == (2,):
+                ix = int(check_index("probe_nodes", probe[0], self.nx))
+                iy = int(check_index("probe_nodes", probe[1], self.ny))
+                row = iy * self.nx + ix
             else:
-                ix, iy = probe
-                row = int(iy) * self.nx + int(ix)
-            if not 0 <= row < self.nx * self.ny:
-                raise ConfigError(f"probe node {probe!r} outside the mesh")
+                raise ConfigError(
+                    "probe_nodes entries must be a row index or an "
+                    f"(ix, iy) pair, got {probe!r}"
+                )
             rows.append(row)
         return tuple(rows)
 
@@ -810,7 +700,12 @@ class GridTransientPDN(MeshDesign):
         if mode == "structured":
             fast = st.fast()
             dc_fast = st.dc_fast()
-            solve = fast.solve_rows
+            live = np.empty(0, dtype=np.int64)
+
+            # The private solve, not the traced solve_reduced: one call
+            # per time step.
+            def solve(b: np.ndarray) -> np.ndarray:
+                return np.ascontiguousarray(fast._solve(b.T, live).T)
 
             def dc_solve_rows(b: np.ndarray) -> np.ndarray:
                 return np.ascontiguousarray(

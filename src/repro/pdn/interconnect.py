@@ -27,6 +27,9 @@ from ..errors import ConfigError, InfeasibleError
 from ..materials import COPPER, SOLDER_SAC305, Conductor
 from ..units import mm2, um, um2
 
+#: Relative roundoff slack on an element's current rating.
+_RATING_SLACK = 1.0 + 1e-12
+
 
 @dataclass(frozen=True)
 class VerticalInterconnect:
@@ -131,7 +134,13 @@ class VerticalInterconnect:
             raise ConfigError("current must be positive")
         if not 0.0 < utilization_cap <= 1.0:
             raise ConfigError("utilization cap must be in (0, 1]")
-        needed = math.ceil(current_a / self.rated_current_a)
+        # Same relative slack as is_within_rating, so a current that is
+        # an exact multiple of the rating up to roundoff (0.9 A over
+        # 0.06 A elements divides to 15.000000000000002) is not rounded
+        # up to one element more than the rating needs.
+        needed = math.ceil(
+            current_a / (self.rated_current_a * _RATING_SLACK)
+        )
         available = int(self.power_sites_per_polarity * utilization_cap)
         if needed > available:
             raise InfeasibleError(
@@ -196,7 +205,7 @@ class InterconnectArray:
         """True if per-element current respects the derated rating."""
         return (
             self.current_per_element_a(current_a)
-            <= self.technology.rated_current_a * (1.0 + 1e-12)
+            <= self.technology.rated_current_a * _RATING_SLACK
         )
 
 

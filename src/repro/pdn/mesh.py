@@ -73,6 +73,27 @@ def check_real(
     return number
 
 
+def check_index(name: str, value, size: int) -> np.ndarray:
+    """``value`` — one index or an array of them — as int64 indices
+    into ``range(size)``.  Integral floats such as ``2.0`` pass.
+
+    Raises:
+        ConfigError: naming ``name`` for a non-numeric, non-integral or
+            out-of-range entry.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ConfigError(f"{name} must hold integer indices") from None
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must hold integer indices, got {value!r}")
+    if arr.dtype.kind == "f" and not np.all(np.mod(arr, 1.0) == 0.0):
+        raise ConfigError(f"{name} must hold integer indices, got {value!r}")
+    if np.any(arr < 0) or np.any(arr >= size):
+        raise ConfigError(f"{name} index {value!r} outside 0..{size - 1}")
+    return arr.astype(np.int64)
+
+
 def check_map(
     name: str,
     value,

@@ -46,6 +46,12 @@ INFLUENCE_CACHE_COLUMNS = 1024
 #: singular/non-singular verdict for the same matrix.
 SINGULARITY_PROBE_TOL = 1e-3
 
+#: A Woodbury correction is trusted while the smallest singular value
+#: of its k-by-k capacitance matrix ``S`` stays above
+#: ``max(1, sigma_max) / WOODBURY_COND_LIMIT``; below that the scenario
+#: is refactorized (or rejected with ``method="woodbury"``).
+WOODBURY_COND_LIMIT = 1e10
+
 
 def singularity_probe(size: int) -> np.ndarray:
     """The known probe solution ``w`` used to detect rounded pivots.
@@ -339,25 +345,28 @@ class FactorizedPDN:
         """
         amp, volt = self._scenario_values(cs_amp, vs_volt)
         x = self.solve_rhs(self.rhs(amp, volt))
-        return self._package(x, amp, volt, self._conductance, check)
+        return self._package(x, amp, volt, check)
 
     def _package(
         self,
         x: np.ndarray,
         amp: np.ndarray,
         volt: np.ndarray,
-        conductance: np.ndarray,
         check: bool,
-        disabled_sources: np.ndarray | None = None,
+        disabled: np.ndarray | None = None,
+        removed: np.ndarray | None = None,
     ) -> DCSolution:
         """Post-process a raw MNA solution vector into a DCSolution.
 
-        ``conductance`` is the per-resistor conductance used for branch
-        currents — :meth:`solve_modified` passes a copy with removed
-        elements zeroed so their reported currents and losses vanish.
+        Branch currents use each resistor's conductance, zeroed for the
+        ``removed`` ones so their reported currents and losses vanish.
         """
+        conductance = self._conductance
+        if removed is not None and removed.size:
+            conductance = conductance.copy()
+            conductance[removed] = 0.0
         return package_dc_solution(
-            self.compiled, x, amp, volt, conductance, check, disabled_sources
+            self.compiled, x, amp, volt, conductance, check, disabled
         )
 
     # -- low-rank modified solves ---------------------------------------------------
@@ -502,6 +511,33 @@ class FactorizedPDN:
             )
         return lu
 
+    def _solve_refactored(
+        self,
+        disabled: np.ndarray,
+        removed: np.ndarray,
+        amp: np.ndarray,
+        volt: np.ndarray,
+        check: bool,
+    ) -> DCSolution:
+        """One scenario on an explicit factorization of ``A + U W^T``:
+        the ``method="refactor"`` oracle and the fallback for an
+        ill-conditioned Woodbury correction."""
+        rhs = self.rhs(amp, volt)
+        if not disabled.size and not removed.size:
+            x = self.solve_rhs(rhs)
+        else:
+            rhs[self._n + disabled] = 0.0
+            u, w = self._modification_factors(disabled, removed)
+            lu = self._refactorize_modified(u, w)
+            x = lu.solve(rhs)
+            residual = rhs - (self._matrix @ x + u @ (w.T @ x))
+            x = x + lu.solve(residual)
+            if not np.all(np.isfinite(x)):
+                raise SolverError(
+                    "modified MNA solution contains non-finite values"
+                )
+        return self._package(x, amp, volt, check, disabled, removed)
+
     def solve_modified(
         self,
         disable_sources: "np.ndarray | tuple[int, ...] | list[int]" = (),
@@ -510,7 +546,6 @@ class FactorizedPDN:
         vs_volt: np.ndarray | None = None,
         check: bool = True,
         method: str = "auto",
-        cond_limit: float = 1e10,
     ) -> DCSolution:
         """Solve a structurally modified scenario on the base factorization.
 
@@ -522,7 +557,8 @@ class FactorizedPDN:
         ``x = y - Z (I_k + W^T Z)^{-1} W^T y``
 
         where ``y = A^{-1} b_mod`` and ``Z = A^{-1} U`` cost k+1
-        back-substitutions on the *cached* factorization.
+        back-substitutions on the *cached* factorization.  This is the
+        one-scenario case of :meth:`solve_modified_many`.
 
         Args:
             disable_sources: voltage-source indices whose constraint is
@@ -532,93 +568,20 @@ class FactorizedPDN:
             remove_resistors: resistor indices whose conductance stamp
                 is subtracted (an open lateral edge).  Removed
                 resistors report zero current and loss.
-            method: ``"auto"`` uses Woodbury and falls back to an
-                explicit refactorization when the k-by-k capacitance
-                matrix ``S = I + W^T Z`` is ill-conditioned (its
-                smallest singular value below
-                ``max(1, sigma_max) / cond_limit``); ``"woodbury"`` raises
-                :class:`~repro.errors.SolverError` instead of falling
-                back; ``"refactor"`` always rebuilds (the parity
-                oracle for the correction).
+            method: as for :meth:`solve_modified_many`.
 
         Raises:
             SolverError: invalid indices, disconnecting modification,
                 or (with ``method="woodbury"``) an ill-conditioned
                 correction.
         """
-        if method not in ("auto", "woodbury", "refactor"):
-            raise SolverError(f"unknown solve_modified method: {method!r}")
-        compiled = self.compiled
-        disabled = np.unique(np.asarray(disable_sources, dtype=np.int64))
-        removed = np.unique(np.asarray(remove_resistors, dtype=np.int64))
-        if disabled.size and (
-            disabled.min() < 0 or disabled.max() >= compiled.n_vsources
-        ):
-            raise SolverError("disable_sources index out of range")
-        if removed.size and (
-            removed.min() < 0 or removed.max() >= len(compiled.res_ohm)
-        ):
-            raise SolverError("remove_resistors index out of range")
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
-        if not disabled.size and not removed.size:
-            x = self.solve_rhs(self.rhs(amp, volt))
-            return self._package(x, amp, volt, self._conductance, check)
-
-        rhs = self.rhs(amp, volt)
-        rhs[self._n + disabled] = 0.0
-        u, w = self._modification_factors(disabled, removed)
-
-        x: np.ndarray | None = None
-        if method in ("auto", "woodbury"):
-            z = self._influence_solve(u, disabled, removed)
-            s = np.eye(u.shape[1]) + w.T @ z
-            # Gate on the smallest singular value against an absolute
-            # floor: cond(S) alone cannot flag a uniformly tiny S (for
-            # k=1 it is identically 1), but sigma_min -> 0 is exactly
-            # the near-singular modified system Woodbury cannot solve.
-            with np.errstate(all="ignore"):
-                singular_values = np.linalg.svd(s, compute_uv=False)
-            sigma_max = float(singular_values[0])
-            sigma_min = float(singular_values[-1])
-            cond = sigma_max / sigma_min if sigma_min > 0 else np.inf
-            if (
-                np.all(np.isfinite(singular_values))
-                and sigma_min > max(1.0, sigma_max) / cond_limit
-            ):
-
-                def correct(b: np.ndarray) -> np.ndarray:
-                    yb = self._lu.solve(b)
-                    return yb - z @ np.linalg.solve(s, w.T @ yb)
-
-                x = correct(rhs)
-                # One step of iterative refinement on the modified
-                # system tightens the correction from ~1e-9 to ~1e-12
-                # relative for one extra back-substitution.
-                residual = rhs - (self._matrix @ x + u @ (w.T @ x))
-                x = x + correct(residual)
-                if not np.all(np.isfinite(x)):
-                    x = None
-            if x is None and method == "woodbury":
-                raise SolverError(
-                    "Woodbury correction is ill-conditioned "
-                    f"(cond(S) = {cond:.3e}); the scenario likely "
-                    "disconnects the network"
-                )
-        if x is None:  # method == "refactor" or ill-conditioned fallback
-            lu = self._refactorize_modified(u, w)
-            x = lu.solve(rhs)
-            residual = rhs - (self._matrix @ x + u @ (w.T @ x))
-            x = x + lu.solve(residual)
-            if not np.all(np.isfinite(x)):
-                raise SolverError(
-                    "modified MNA solution contains non-finite values"
-                )
-
-        conductance = self._conductance
-        if removed.size:
-            conductance = conductance.copy()
-            conductance[removed] = 0.0
-        return self._package(x, amp, volt, conductance, check, disabled)
+        return self.solve_modified_many(
+            [(disable_sources, remove_resistors)],
+            cs_amp=cs_amp,
+            vs_volt=vs_volt,
+            check=check,
+            method=method,
+        )[0]
 
     def _preload_modification_influence(
         self, scenarios: list[tuple[np.ndarray, np.ndarray]]
@@ -662,7 +625,6 @@ class FactorizedPDN:
         vs_volt: np.ndarray | None = None,
         check: bool = True,
         method: str = "auto",
-        cond_limit: float = 1e10,
     ) -> list[DCSolution]:
         """Solve many modified scenarios with batched back-substitutions.
 
@@ -677,10 +639,14 @@ class FactorizedPDN:
         only k×k algebra per scenario.  Exhaustive N−k enumerations
         are the intended workload.
 
-        ``method`` follows :meth:`solve_modified`: ``"auto"`` falls
-        back to per-scenario refactorization for ill-conditioned
-        corrections, ``"woodbury"`` raises instead, and ``"refactor"``
-        solves every scenario explicitly (the parity oracle).
+        ``method="auto"`` uses Woodbury and falls back to an explicit
+        per-scenario refactorization when the k-by-k capacitance
+        matrix ``S = I + W^T Z`` is ill-conditioned (its smallest
+        singular value below ``max(1, sigma_max) /``
+        :data:`WOODBURY_COND_LIMIT`); ``"woodbury"`` raises
+        :class:`~repro.errors.SolverError` instead of falling back;
+        ``"refactor"`` solves every scenario explicitly (the parity
+        oracle for the correction).
 
         Returns one :class:`DCSolution` per scenario, in order.
         """
@@ -712,14 +678,7 @@ class FactorizedPDN:
             return []
         if method == "refactor":
             return [
-                self.solve_modified(
-                    disable_sources=disabled,
-                    remove_resistors=removed,
-                    cs_amp=amp,
-                    vs_volt=volt,
-                    check=check,
-                    method="refactor",
-                )
+                self._solve_refactored(disabled, removed, amp, volt, check)
                 for disabled, removed in normalized
             ]
 
@@ -753,6 +712,10 @@ class FactorizedPDN:
             u, w = self._modification_factors(disabled, removed)
             z = self._influence_solve(u, disabled, removed)
             s = np.eye(u.shape[1]) + w.T @ z
+            # Gate on the smallest singular value against an absolute
+            # floor: cond(S) alone cannot flag a uniformly tiny S (for
+            # k=1 it is identically 1), but sigma_min -> 0 is exactly
+            # the near-singular modified system Woodbury cannot solve.
             with np.errstate(all="ignore"):
                 singular_values = np.linalg.svd(s, compute_uv=False)
             sigma_max = float(singular_values[0])
@@ -762,7 +725,7 @@ class FactorizedPDN:
             conds.append(cond)
             if not (
                 np.all(np.isfinite(singular_values))
-                and sigma_min > max(1.0, sigma_max) / cond_limit
+                and sigma_min > max(1.0, sigma_max) / WOODBURY_COND_LIMIT
             ):
                 ill_conditioned(i, cond)
                 continue
@@ -771,7 +734,7 @@ class FactorizedPDN:
                 ill_conditioned(i, cond)
 
         # One batched refinement round over the Woodbury-solved columns
-        # (the same +1 step solve_modified applies per scenario).
+        # tightens the correction from ~1e-9 to ~1e-12 relative.
         live = [
             i
             for i in range(count)
@@ -795,22 +758,11 @@ class FactorizedPDN:
         for i, (disabled, removed) in enumerate(normalized):
             if i in fallback:
                 solutions.append(
-                    self.solve_modified(
-                        disable_sources=disabled,
-                        remove_resistors=removed,
-                        cs_amp=amp,
-                        vs_volt=volt,
-                        check=check,
-                        method="refactor",
-                    )
+                    self._solve_refactored(disabled, removed, amp, volt, check)
                 )
                 continue
-            conductance = self._conductance
-            if removed.size:
-                conductance = conductance.copy()
-                conductance[removed] = 0.0
             solutions.append(
-                self._package(x[:, i], amp, volt, conductance, check, disabled)
+                self._package(x[:, i], amp, volt, check, disabled, removed)
             )
         return solutions
 

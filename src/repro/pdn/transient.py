@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..errors import ConfigError
+from .mesh import check_real
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ def droop_and_settle(
     trace = np.asarray(trace_v, dtype=float)
     if time.ndim != 1 or trace.shape != time.shape or time.size == 0:
         raise ConfigError("trace and time arrays must match and be 1-D")
-    if band_v <= 0:
-        raise ConfigError("settle band must be positive")
+    band_v = check_real("settle_band_v", band_v, 0.0, strict=True)
     droop = float(max(0.0, v_pre - trace.min()))
     inside = np.abs(trace - v_final) <= band_v
     suffix_inside = np.logical_and.accumulate(inside[::-1])[::-1]

@@ -162,20 +162,34 @@ class TestEngineEquivalence:
 
     def test_nonuniform_decap_map_agrees(self):
         # Mostly uniform with a handful of hotspot allocations — the
-        # sparse-deviation regime the rank-s Woodbury correction covers.
+        # sparse-deviation regime the rank-s Woodbury correction covers
+        # — plus the two zero-shift designs that take the deflation
+        # column and the refinement round: a decap-free mesh, and a
+        # zero-base map with ten decap islands as deviation columns.
         rng = np.random.default_rng(3)
         density = np.ones((12, 12))
         rows = rng.choice(144, size=10, replace=False)
         density.ravel()[rows] = 1.0 + rng.random(10) * 3.0
-        results = []
-        for engine in ("factorized", "structured"):
-            pdn = mesh_fixture(engine)
-            pdn.set_decap_density(density, 0.2e-6, 2e-3, 1e-12)
-            results.append(
-                pdn.simulate_step(60.0, 120.0, duration_s=5e-8, dt_s=1e-10)
-            )
-        fact, struct = results
-        assert np.max(np.abs(fact.v_min_map - struct.v_min_map)) <= 1e-8
+        islands = np.zeros((12, 12))
+        islands.ravel()[rng.choice(144, size=10, replace=False)] = 2.0
+        for decap in (density, None, islands):
+            results = []
+            for engine in ("factorized", "structured"):
+                pdn = mesh_fixture(engine)
+                if decap is not None:
+                    pdn.set_decap_density(decap, 0.2e-6, 2e-3, 1e-12)
+                results.append(
+                    pdn.simulate_step(
+                        60.0, 120.0, duration_s=5e-8, dt_s=1e-10,
+                        probe_nodes=[(6, 6)],
+                    )
+                )
+            fact, struct = results
+            assert struct.engine == "structured"
+            assert np.max(np.abs(fact.v_min_map - struct.v_min_map)) <= 1e-8
+            assert np.max(
+                np.abs(fact.probe_voltages_v - struct.probe_voltages_v)
+            ) <= 1e-8 * np.max(np.abs(fact.probe_voltages_v))
 
     def test_dense_deviations_fall_back_under_auto(self):
         # A fully random decap map exceeds the Woodbury rank budget:

@@ -228,6 +228,61 @@ def test_valid_design_still_builds(cls):
     assert grid.source_names == ["a", "b", "c"]
 
 
+def _probe(probe_nodes):
+    return with_decap(GridTransientPDN).simulate_step(
+        1.0, 2.0, duration_s=1e-7, dt_s=1e-9, probe_nodes=probe_nodes
+    )
+
+
+def _disable(scenario):
+    return design(GridPDN).solve_disabled(scenario)
+
+
+def _columns(nodes):
+    return design(GridACPDN).impedance_columns(1e6, nodes)
+
+
+INDEX_CASES = {
+    # Off-mesh (ix, iy) pairs used to wrap onto another node's row.
+    "probe-ix-past-edge": ("probe_nodes", lambda: _probe([(N + 1, 0)])),
+    "probe-ix-negative": ("probe_nodes", lambda: _probe([(-1, 1)])),
+    "probe-iy-past-edge": ("probe_nodes", lambda: _probe([(1, N)])),
+    "probe-fractional": ("probe_nodes", lambda: _probe([(2.7, 0)])),
+    "probe-nan-row": ("probe_nodes", lambda: _probe([math.nan])),
+    "probe-row-past-end": ("probe_nodes", lambda: _probe([N * N])),
+    "probe-short-pair": ("probe_nodes", lambda: _probe([(1,)])),
+    # Fractional source indices used to truncate onto a real source.
+    "disable-fractional": ("disabled_sources", lambda: _disable([1.5])),
+    "disable-string": ("disabled_sources", lambda: _disable(["x"])),
+    "disable-nan": ("disabled_sources", lambda: _disable([math.nan])),
+    "disable-out-of-range": ("disabled_sources", lambda: _disable([2])),
+    "disable-bare-index": (
+        "disabled_sources",
+        lambda: design(GridPDN).solve_disabled_many([1]),
+    ),
+    "columns-fractional": ("nodes", lambda: _columns([1.5])),
+    "columns-nan": ("nodes", lambda: _columns([math.nan])),
+    "columns-past-end": ("nodes", lambda: _columns([N * N])),
+}
+
+
+@pytest.mark.parametrize(
+    "name, call", INDEX_CASES.values(), ids=INDEX_CASES.keys()
+)
+def test_bad_index_raises_config_error_naming_the_parameter(name, call):
+    """Index inputs are checked whole: a fractional, non-numeric or
+    off-mesh index raises a ConfigError naming the parameter instead
+    of being truncated, wrapped, or escaping as a raw error."""
+    with pytest.raises(ConfigError, match=name):
+        call()
+
+
+def test_integral_float_indices_still_accepted():
+    """The index check rejects fractions, not float dtypes."""
+    assert _probe([(2.0, 1.0), 3.0]).probe_rows == (1 * N + 2, 3)
+    assert _disable([1.0]).source_currents_a[1] == 0.0
+
+
 def test_nan_density_cell_is_rejected_not_dropped():
     pdn = GridACPDN(0.02, 0.02, 1e-3, nx=8, ny=8)
     density = np.ones((8, 8))

@@ -203,8 +203,15 @@ class TestDroopAndSettleHelper:
             droop_and_settle(np.arange(4.0), np.arange(5.0), 1.0, 1.0, 0.01)
 
     def test_rejects_nonpositive_band(self):
-        with pytest.raises(ConfigError):
-            droop_and_settle(np.arange(4.0), np.arange(4.0), 1.0, 1.0, 0.0)
+        for band in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="settle_band_v"):
+                droop_and_settle(
+                    np.arange(4.0), np.arange(4.0), 1.0, 1.0, band
+                )
+        # NaN compares false against every bound, so it used to pass
+        # through simulate_step and yield a meaningless settle time.
+        with pytest.raises(ConfigError, match="settle_band_v"):
+            simple_pdn().simulate_step(5.0, 40.0, settle_band_v=np.nan)
 
 
 class TestSettleTimeScan:
