@@ -334,13 +334,6 @@ class PlacementReport:
     def capacitance_budget_f(self) -> float:
         return self.placement.capacitance_budget_f
 
-    @property
-    def peak_reduction_fraction(self) -> float:
-        """Fractional peak-|Z| improvement over the attached map."""
-        before = self.placement.peak_impedance_before_ohm
-        after = self.placement.peak_impedance_after_ohm
-        return 1.0 - after / before
-
 
 def optimize_decap_placement_map(
     arch: ArchitectureSpec,

@@ -98,10 +98,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def entries_built(self) -> int:
-        return self.misses
-
 
 class FactorizationCache:
     """Bounded LRU of content-hash → :class:`FactorizedPDN`.

@@ -51,7 +51,6 @@ from .planes import (
 from .powermap import PowerMap, hotspot_trajectory
 from .grid import (
     GridACPDN,
-    GridACSweepSolution,
     GridImpedanceMap,
     GridPDN,
     GridSolution,
@@ -125,7 +124,6 @@ __all__ = [
     "GridPDN",
     "GridSolution",
     "GridACPDN",
-    "GridACSweepSolution",
     "GridImpedanceMap",
     "PackagingLevel",
     "PackagingStack",

@@ -335,12 +335,11 @@ def shared_csc_pattern(
 class CompiledACNetlist:
     """An AC netlist compiled to a reusable frequency-sweep structure.
 
-    Built once from an :class:`ACNetlist` (or directly from arrays via
-    :meth:`from_arrays`): nodes are mapped to integer rows and every
-    matrix entry is recorded as COO coordinates plus three per-entry
-    coefficient arrays — resistive (frequency independent), capacitive
-    (scaled by ``jω``), and inductive (scaled by ``1/(jω)``) — so the
-    complex value vector at any frequency is
+    Built once from an :class:`ACNetlist`: nodes are mapped to integer
+    rows and every matrix entry is recorded as COO coordinates plus
+    three per-entry coefficient arrays — resistive (frequency
+    independent), capacitive (scaled by ``jω``), and inductive (scaled
+    by ``1/(jω)``) — so the complex value vector at any frequency is
 
     ``vals(ω) = const + j(ω·cap − ind/ω)``
 
@@ -365,145 +364,31 @@ class CompiledACNetlist:
             )
             return flat.reshape(-1, 2)
 
-        res = endpoint_rows(
+        res_a, res_b = endpoint_rows(
             [(r.node_a, r.node_b) for r in netlist.resistors]
-        )
-        ind = endpoint_rows(
+        ).T
+        res_ohm = np.array([r.resistance_ohm for r in netlist.resistors])
+        ind_a, ind_b = endpoint_rows(
             [(l.node_a, l.node_b) for l in netlist.inductors]
-        )
-        cap = endpoint_rows(
+        ).T
+        ind_h = np.array([l.inductance_h for l in netlist.inductors])
+        cap_a, cap_b = endpoint_rows(
             [(c.node_a, c.node_b) for c in netlist.capacitors]
-        )
-        vs = endpoint_rows(
+        ).T
+        cap_f = np.array([c.capacitance_f for c in netlist.capacitors])
+        vs_plus, vs_minus = endpoint_rows(
             [(v.node_plus, v.node_minus) for v in netlist.voltage_sources]
-        )
-        cs = endpoint_rows(
+        ).T
+        vs_volt = np.array([v.voltage_v for v in netlist.voltage_sources])
+        cs_from, cs_to = endpoint_rows(
             [(s.node_from, s.node_to) for s in netlist.current_sources]
-        )
-        self._init_arrays(
-            nodes=tuple(nodes),
-            res_a=res[:, 0],
-            res_b=res[:, 1],
-            res_ohm=np.array([r.resistance_ohm for r in netlist.resistors]),
-            ind_a=ind[:, 0],
-            ind_b=ind[:, 1],
-            ind_h=np.array([l.inductance_h for l in netlist.inductors]),
-            cap_a=cap[:, 0],
-            cap_b=cap[:, 1],
-            cap_f=np.array([c.capacitance_f for c in netlist.capacitors]),
-            vs_plus=vs[:, 0],
-            vs_minus=vs[:, 1],
-            vs_volt=np.array([v.voltage_v for v in netlist.voltage_sources]),
-            cs_from=cs[:, 0],
-            cs_to=cs[:, 1],
-            cs_amp=np.array([s.current_a for s in netlist.current_sources]),
-        )
+        ).T
+        cs_amp = np.array([s.current_a for s in netlist.current_sources])
 
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        nodes: tuple[NodeId, ...],
-        res_a: np.ndarray | None = None,
-        res_b: np.ndarray | None = None,
-        res_ohm: np.ndarray | None = None,
-        ind_a: np.ndarray | None = None,
-        ind_b: np.ndarray | None = None,
-        ind_h: np.ndarray | None = None,
-        cap_a: np.ndarray | None = None,
-        cap_b: np.ndarray | None = None,
-        cap_f: np.ndarray | None = None,
-        vs_plus: np.ndarray | None = None,
-        vs_minus: np.ndarray | None = None,
-        vs_volt: np.ndarray | None = None,
-        cs_from: np.ndarray | None = None,
-        cs_to: np.ndarray | None = None,
-        cs_amp: np.ndarray | None = None,
-    ) -> "CompiledACNetlist":
-        """Compile directly from integer-indexed element arrays.
-
-        The array-native construction path for regular builders (the
-        grid mesh): endpoints are rows into ``nodes`` with ground
-        encoded as :data:`~repro.pdn.network.GROUND_INDEX`, exactly as
-        in :class:`~repro.pdn.network.CompiledNetlist`, and no
-        per-element Python objects are ever created.
-        """
-
-        def ints(values: np.ndarray | None) -> np.ndarray:
-            if values is None:
-                return np.empty(0, dtype=np.int64)
-            return np.ascontiguousarray(values, dtype=np.int64)
-
-        def floats(values: np.ndarray | None) -> np.ndarray:
-            if values is None:
-                return np.empty(0)
-            return np.ascontiguousarray(values, dtype=float)
-
-        self = object.__new__(cls)
-        self._init_arrays(
-            nodes=tuple(nodes),
-            res_a=ints(res_a),
-            res_b=ints(res_b),
-            res_ohm=floats(res_ohm),
-            ind_a=ints(ind_a),
-            ind_b=ints(ind_b),
-            ind_h=floats(ind_h),
-            cap_a=ints(cap_a),
-            cap_b=ints(cap_b),
-            cap_f=floats(cap_f),
-            vs_plus=ints(vs_plus),
-            vs_minus=ints(vs_minus),
-            vs_volt=floats(vs_volt),
-            cs_from=ints(cs_from),
-            cs_to=ints(cs_to),
-            cs_amp=floats(cs_amp),
-        )
-        return self
-
-    def _init_arrays(
-        self,
-        *,
-        nodes: tuple[NodeId, ...],
-        res_a: np.ndarray,
-        res_b: np.ndarray,
-        res_ohm: np.ndarray,
-        ind_a: np.ndarray,
-        ind_b: np.ndarray,
-        ind_h: np.ndarray,
-        cap_a: np.ndarray,
-        cap_b: np.ndarray,
-        cap_f: np.ndarray,
-        vs_plus: np.ndarray,
-        vs_minus: np.ndarray,
-        vs_volt: np.ndarray,
-        cs_from: np.ndarray,
-        cs_to: np.ndarray,
-        cs_amp: np.ndarray,
-    ) -> None:
         n = len(nodes)
-        m = len(vs_volt)
-        self.nodes: tuple[NodeId, ...] = nodes
+        self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self.n_nodes = n
-        self.size = n + m
-
-        for label, a, b, values, positive in (
-            ("resistor", res_a, res_b, res_ohm, True),
-            ("inductor", ind_a, ind_b, ind_h, True),
-            ("capacitor", cap_a, cap_b, cap_f, True),
-            ("voltage source", vs_plus, vs_minus, vs_volt, False),
-            ("current source", cs_from, cs_to, cs_amp, False),
-        ):
-            if not (len(a) == len(b) == len(values)):
-                raise ConfigError(f"{label} arrays have mismatched lengths")
-            for endpoint in (a, b):
-                if endpoint.size and (
-                    endpoint.min() < GROUND_INDEX or endpoint.max() >= n
-                ):
-                    raise ConfigError(f"{label} endpoint index out of range")
-            if positive and values.size and np.any(values <= 0):
-                raise ConfigError(f"compiled {label} values must be positive")
-        if not len(res_ohm) and not len(vs_volt) and not len(ind_h) and not len(cap_f):
-            raise ConfigError("netlist has no elements")
+        self.size = n + len(vs_volt)
 
         g_rows, g_cols, g_vals = admittance_stamp_entries(
             res_a, res_b, 1.0 / res_ohm

@@ -55,6 +55,7 @@ CLI usage (``repro place``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,6 +65,7 @@ from ..errors import ConfigError
 from ..parallel.executor import run_sweep_collect
 from ..parallel.scenario import Scenario, SweepPlan
 from .grid import GridACPDN, GridPDN
+from .mesh import check_map
 
 __all__ = [
     "PlacementResult",
@@ -141,6 +143,30 @@ def _owner_map(
     return iy[:, None] * cnx + ix[None, :]
 
 
+def _check_shape(name: str, shape) -> tuple[int, int]:
+    """``shape`` as a ``(ny, nx)`` pair of positive integers."""
+    try:
+        dims = tuple(operator.index(n) for n in shape)
+    except TypeError:
+        dims = ()
+    if len(dims) != 2 or min(dims) < 1:
+        raise ConfigError(
+            f"{name} must be two positive integers, got {shape!r}"
+        )
+    return dims
+
+
+def _check_density(density) -> np.ndarray:
+    """``density`` as a fresh finite, non-negative 2-D float array."""
+    try:
+        shape = np.shape(density)
+    except ValueError:  # ragged nesting
+        shape = ()
+    if len(shape) != 2 or 0 in shape:
+        raise ConfigError("density must be a non-empty 2-D array")
+    return check_map("density", density, shape)
+
+
 def restrict_density(
     density: np.ndarray, coarse_shape: tuple[int, int]
 ) -> np.ndarray:
@@ -150,9 +176,10 @@ def restrict_density(
     so a capacitance budget survives the round trip exactly (up to
     float addition order).
     """
-    density = np.asarray(density, dtype=float)
+    density = _check_density(density)
+    coarse_shape = _check_shape("coarse_shape", coarse_shape)
     owners = _owner_map(density.shape, coarse_shape)
-    out = np.zeros(int(coarse_shape[0]) * int(coarse_shape[1]))
+    out = np.zeros(coarse_shape[0] * coarse_shape[1])
     np.add.at(out, owners.ravel(), density.ravel())
     return out.reshape(coarse_shape)
 
@@ -166,8 +193,8 @@ def prolong_density(
     size: each fine node gets ``α_owner / |block|``, so
     ``restrict(prolong(a)) == a`` and totals are preserved.
     """
-    density = np.asarray(density, dtype=float)
-    owners = _owner_map(fine_shape, density.shape)
+    density = _check_density(density)
+    owners = _owner_map(_check_shape("fine_shape", fine_shape), density.shape)
     counts = np.bincount(owners.ravel(), minlength=density.size)
     if np.any(counts == 0):
         raise ConfigError(
@@ -393,32 +420,17 @@ class PlacementResult:
     coarse_shape: tuple[int, int] | None
 
     @property
-    def peak_impedance_before_ohm(self) -> float:
-        return float(self.peak_map_before.max())
-
-    @property
     def peak_impedance_after_ohm(self) -> float:
         return float(self.peak_map_after.max())
-
-    def _fraction(self, peak_map: np.ndarray) -> float:
-        tol = self.target_ohm * (1 + TARGET_RTOL)
-        return float(
-            np.count_nonzero(peak_map > tol) / peak_map.size
-        )
-
-    @property
-    def violating_fraction_before(self) -> float:
-        """Violating-node fraction of the attached allocation."""
-        return self._fraction(self.peak_map_before)
 
     @property
     def violating_fraction_after(self) -> float:
         """Violating-node fraction of the optimized allocation."""
-        return self._fraction(self.peak_map_after)
-
-    @property
-    def total_capacitance_before_f(self) -> float:
-        return float(self.density_before.sum() * self.cap_per_unit_f)
+        tol = self.target_ohm * (1 + TARGET_RTOL)
+        return float(
+            np.count_nonzero(self.peak_map_after > tol)
+            / self.peak_map_after.size
+        )
 
     @property
     def total_capacitance_after_f(self) -> float:

@@ -38,8 +38,6 @@ import scipy.sparse.linalg as spla
 from ..errors import ConfigError, SolverError
 from .ac import (
     _DENSE_BATCH_ENTRIES,
-    ACSweepSolution,
-    CompiledACNetlist,
     check_frequencies,
     grid_direct_mode,
     shared_csc_pattern,
@@ -596,21 +594,6 @@ class GridPDN(MeshDesign):
             raise ConfigError("cannot disable every source")
         return disabled
 
-    def preload_failure_sweep(
-        self,
-        indices: "tuple[int, ...] | list[int] | range | None" = None,
-    ) -> None:
-        """Warm everything an N−1/N−k sweep needs in batched calls.
-
-        Factorizes the full attached topology (if not already cached)
-        and back-substitutes the influence columns for the given
-        source indices (default: all) in one call, so each subsequent
-        :meth:`solve_disabled` scenario pays only two
-        back-substitutions.
-        """
-        structure, _, _ = self._solve_inputs()
-        structure.solver.preload_source_influence(indices)
-
     def _solve_inputs(self) -> tuple[_GridStructure, np.ndarray, np.ndarray]:
         """Validate attachments and gather the per-scenario RHS data."""
         self._check_attached()
@@ -712,10 +695,6 @@ class GridImpedanceMap:
         flat = int(np.argmax(np.abs(self.z_ohm).max(axis=1)))
         return flat % self.nx, flat // self.nx
 
-    def worst_profile(self) -> ImpedanceProfile:
-        """The |Z(f)| profile of the worst node."""
-        return self.node_profile(*self.worst_node())
-
     def meets_target(self, target_ohm: float) -> bool:
         """True if every node stays at or below the target everywhere."""
         if target_ohm <= 0:
@@ -735,37 +714,6 @@ class GridImpedanceMap:
         peaks = np.abs(self.z_ohm).max(axis=1)
         violating = peaks > target_ohm * (1 + 1e-12)
         return float(np.count_nonzero(violating) / peaks.size)
-
-
-@dataclass(frozen=True)
-class GridACSweepSolution:
-    """Driven phasor sweep of the mesh (sources live, sinks as AC loads).
-
-    Attributes:
-        sweep: the underlying node-voltage sweep (mesh nodes first in
-            row order, then internal branch nodes).
-        nx, ny: mesh dimensions.
-    """
-
-    sweep: ACSweepSolution
-    nx: int
-    ny: int
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        return self.sweep.frequencies_hz
-
-    @property
-    def voltage_maps(self) -> np.ndarray:
-        """Complex mesh node voltages, shape ``(n_freqs, ny, nx)``."""
-        cells = self.nx * self.ny
-        return self.sweep.voltage_matrix[:, :cells].reshape(
-            -1, self.ny, self.nx
-        )
-
-    def magnitude_map(self, index: int) -> np.ndarray:
-        """|V| over the mesh at sweep point ``index``."""
-        return np.abs(self.voltage_maps[index])
 
 
 @dataclass
@@ -847,24 +795,19 @@ class GridACPDN(MeshDesign):
     The AC counterpart of :class:`GridPDN`: the same rectangular
     one-polarity mesh, extended with per-node decoupling capacitors
     (C + ESR + ESL), per-edge metal inductance, and VR output branches
-    (Thevenin source + output resistance + bump/TSV inductance).  Two
-    analysis surfaces:
+    (Thevenin source + output resistance + bump/TSV inductance).  Its
+    analysis is :meth:`impedance_map`: the die-seen self-impedance
+    Z(f) at *every* mesh node (sources zeroed, 1 A probe per node), the
+    frequency-domain companion of the DC IR-drop map;
+    :meth:`impedance_columns` returns probe columns for the placement
+    adjoint.
 
-    * :meth:`impedance_map` — the die-seen self-impedance Z(f) at
-      *every* mesh node (sources zeroed, 1 A probe per node), the
-      frequency-domain companion of the DC IR-drop map.
-    * :meth:`solve` — the driven phasor sweep (sources live, sink map
-      as AC load magnitudes), whose low-frequency limit converges to
-      the :class:`GridPDN` DC solution.
-
-    Everything is compiled once per topology and revalued per
-    frequency: the driven path stamps straight into a
-    :class:`~repro.pdn.ac.CompiledACNetlist` (array assembly, shared
-    CSC pattern, batched solves), and the impedance map runs on a
-    *reduced* node-only system — decap chains and source branches fold
-    into per-node shunt admittances — solved either spectrally (one
-    generalized eigendecomposition; per-frequency work is a few small
-    GEMMs) or directly (batched dense / shared-pattern sparse solves).
+    The map is compiled once per topology and revalued per frequency
+    on a *reduced* node-only system — decap chains and source branches
+    fold into per-node shunt admittances — solved structurally (DCT
+    modes for a uniform density), spectrally (one generalized
+    eigendecomposition; per-frequency work is a few small GEMMs) or
+    directly (batched dense / shared-pattern sparse solves).
 
     The constructor and design setters are
     :class:`~repro.pdn.mesh.MeshDesign`'s.  Unlike the DC grid,
@@ -1413,173 +1356,6 @@ class GridACPDN(MeshDesign):
                 "(resonant singularity or floating mesh)"
             )
         return z
-
-    # -- driven sweep -----------------------------------------------------------
-
-    def compile_ac(self) -> CompiledACNetlist:
-        """The full driven mesh as a compiled AC netlist.
-
-        Stamps the mesh edges (with internal nodes where the metal is
-        inductive), every decap chain, the ring bus, the sink map as
-        AC load magnitudes, and each source as an ideal EMF behind its
-        output resistance and bump/TSV inductance — array assembly
-        straight into :meth:`CompiledACNetlist.from_arrays`, no
-        per-element Python objects.  Cached per topology key, sink
-        map and source voltages.
-        """
-        self._check_attached()
-        return self._cached(
-            "driven",
-            self._build_driven,
-            self._sink_map.tobytes(),
-            self._source_arrays()[1].tobytes(),
-        )
-
-    def _build_driven(self) -> CompiledACNetlist:
-        nx, ny = self.nx, self.ny
-        cells = nx * ny
-        x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
-        _, ring_a, ring_b = self._ring_segments()
-        c_map, esr_map, esl_map = self._decap_arrays()
-        has_c = c_map > 0
-        has_r = has_c & (esr_map > 0)
-        has_l = has_c & (esl_map > 0)
-        first = has_c & (has_r | has_l)
-        second = has_r & has_l
-
-        nodes: list = [("g", ix, iy) for iy in range(ny) for ix in range(nx)]
-        res_a: list[np.ndarray] = []
-        res_b: list[np.ndarray] = []
-        res_v: list[np.ndarray] = []
-        ind_a: list[np.ndarray] = []
-        ind_b: list[np.ndarray] = []
-        ind_v: list[np.ndarray] = []
-
-        def mesh_edges(
-            a: np.ndarray, b: np.ndarray, r: float, l: float, axis: str
-        ) -> None:
-            """One mesh axis: plain resistors, or R + L via internal
-            nodes when the metal is inductive."""
-            if not a.size:
-                return
-            if l > 0:
-                mid = len(nodes) + np.arange(a.size, dtype=np.int64)
-                nodes.extend(
-                    (f"edge.{axis}", int(k)) for k in range(a.size)
-                )
-                res_a.append(a)
-                res_b.append(mid)
-                res_v.append(np.full(a.size, r))
-                ind_a.append(mid)
-                ind_b.append(b)
-                ind_v.append(np.full(a.size, l))
-            else:
-                res_a.append(a)
-                res_b.append(b)
-                res_v.append(np.full(a.size, r))
-
-        mesh_edges(
-            x_a,
-            x_b,
-            self.edge_resistance_x_ohm if x_a.size else 0.0,
-            self.edge_inductance_x_h,
-            "x",
-        )
-        mesh_edges(
-            y_a,
-            y_b,
-            self.edge_resistance_y_ohm if y_a.size else 0.0,
-            self.edge_inductance_y_h,
-            "y",
-        )
-        if ring_a.size:
-            res_a.append(ring_a)
-            res_b.append(ring_b)
-            res_v.append(np.full(ring_a.size, self._ring_bus_ohm))
-
-        # Decap chains: node —C→ [first] —ESR→ [second] —ESL→ ground,
-        # with stages collapsing away wherever ESR/ESL are zero.
-        mesh_rows = np.arange(cells, dtype=np.int64)
-        first_row = np.full(cells, GROUND_INDEX, dtype=np.int64)
-        first_row[first] = len(nodes) + np.arange(int(first.sum()))
-        nodes.extend(("decap", int(k), "a") for k in np.nonzero(first)[0])
-        second_row = np.full(cells, GROUND_INDEX, dtype=np.int64)
-        second_row[second] = len(nodes) + np.arange(int(second.sum()))
-        nodes.extend(("decap", int(k), "b") for k in np.nonzero(second)[0])
-
-        cap_a = mesh_rows[has_c]
-        cap_b = first_row[has_c]  # GROUND_INDEX where the chain is bare C
-        cap_v = c_map[has_c]
-        if np.any(has_r):
-            res_a.append(first_row[has_r])
-            res_b.append(np.where(has_l, second_row, GROUND_INDEX)[has_r])
-            res_v.append(esr_map[has_r])
-        if np.any(has_l):
-            esl_start = np.where(has_r, second_row, first_row)
-            ind_a.append(esl_start[has_l])
-            ind_b.append(np.full(int(has_l.sum()), GROUND_INDEX, np.int64))
-            ind_v.append(esl_map[has_l])
-
-        # Source branches: emf —rout→ [mid —L→] attach node.
-        vs_plus = []
-        vs_volt = []
-        for name, ix, iy, voltage, r_out, l_src in self._sources:
-            attach = iy * nx + ix
-            emf = len(nodes)
-            nodes.append(("src", name, "emf"))
-            if l_src > 0:
-                mid = len(nodes)
-                nodes.append(("src", name, "mid"))
-                res_a.append(np.array([emf], dtype=np.int64))
-                res_b.append(np.array([mid], dtype=np.int64))
-                res_v.append(np.array([r_out]))
-                ind_a.append(np.array([mid], dtype=np.int64))
-                ind_b.append(np.array([attach], dtype=np.int64))
-                ind_v.append(np.array([l_src]))
-            else:
-                res_a.append(np.array([emf], dtype=np.int64))
-                res_b.append(np.array([attach], dtype=np.int64))
-                res_v.append(np.array([r_out]))
-            vs_plus.append(emf)
-            vs_volt.append(voltage)
-
-        def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        return CompiledACNetlist.from_arrays(
-            nodes=tuple(nodes),
-            res_a=cat(res_a, np.int64),
-            res_b=cat(res_b, np.int64),
-            res_ohm=cat(res_v, float),
-            ind_a=cat(ind_a, np.int64),
-            ind_b=cat(ind_b, np.int64),
-            ind_h=cat(ind_v, float),
-            cap_a=cap_a,
-            cap_b=cap_b,
-            cap_f=cap_v,
-            vs_plus=np.array(vs_plus, dtype=np.int64),
-            vs_minus=np.full(len(vs_plus), GROUND_INDEX, dtype=np.int64),
-            vs_volt=np.array(vs_volt),
-            cs_from=mesh_rows,
-            cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
-            cs_amp=self._sink_map.ravel().copy(),
-        )
-
-    def solve(self, frequencies_hz: np.ndarray) -> GridACSweepSolution:
-        """Driven phasor sweep: sources at their EMFs, sinks as AC
-        load magnitudes (phase 0).
-
-        As the frequency approaches zero the decaps open and the
-        series inductances short, so the voltage maps converge to the
-        :class:`GridPDN` DC IR-drop solution of the same mesh — the
-        regression the grid tests pin down.
-        """
-        freqs = check_frequencies(frequencies_hz)
-        return GridACSweepSolution(
-            sweep=self.compile_ac().solve(freqs), nx=self.nx, ny=self.ny
-        )
 
 
 def _admittance_entry_map(

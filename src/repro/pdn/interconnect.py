@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError, InfeasibleError
 from ..materials import COPPER, SOLDER_SAC305, Conductor
 from ..units import mm2, um, um2
+from .mesh import check_real
 
 #: Relative roundoff slack on an element's current rating.
 _RATING_SLACK = 1.0 + 1e-12
@@ -130,8 +131,7 @@ class VerticalInterconnect:
             InfeasibleError: if even the full (capped) platform cannot
                 carry the current.
         """
-        if current_a <= 0:
-            raise ConfigError("current must be positive")
+        current_a = check_real("current_a", current_a, 0.0, strict=True)
         if not 0.0 < utilization_cap <= 1.0:
             raise ConfigError("utilization cap must be in (0, 1]")
         # Same relative slack as is_within_rating, so a current that is

@@ -357,12 +357,10 @@ class MeshDesign:
             )
         return self._key
 
-    def _cached(self, slot, build: Callable[[], _T], *extra) -> _T:
-        """The structure in ``slot`` for the current topology key (plus
-        any ``extra`` key parts), built by ``build`` on a miss."""
+    def _cached(self, slot, build: Callable[[], _T]) -> _T:
+        """The structure in ``slot`` for the current topology key,
+        built by ``build`` on a miss."""
         key = self._topology_key()
-        if extra:
-            key = (key, *extra)
         hit = self._cache.get(slot)
         if hit is not None and hit[0] == key:
             return hit[1]

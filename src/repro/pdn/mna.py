@@ -457,31 +457,6 @@ class FactorizedPDN:
                 self._influence_store(keys[t], solved[:, column])
         return np.column_stack(columns)
 
-    def preload_source_influence(
-        self, indices: "np.ndarray | tuple[int, ...] | list[int] | None" = None
-    ) -> None:
-        """Batch the influence columns of many source disables.
-
-        An N−1 sweep touches every source once; one back-substitution
-        call over all missing columns is several times cheaper than 48
-        single-column solves scattered across scenarios.  Defaults to
-        every voltage source.
-        """
-        m = self.compiled.n_vsources
-        if indices is None:
-            indices = range(m)
-        wanted = sorted({int(j) for j in indices})
-        if wanted and (wanted[0] < 0 or wanted[-1] >= m):
-            raise SolverError("source index out of range")
-        self._preload_modification_influence(
-            [
-                (
-                    np.asarray(wanted, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            ]
-        )
-
     def _refactorize_modified(
         self, u: np.ndarray, w: np.ndarray
     ) -> spla.SuperLU:

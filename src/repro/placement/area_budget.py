@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..units import mm2
 
 #: Fraction of the off-die interposer surface usable for periphery VRs.
 PERIPHERY_USABLE_FRACTION = 0.95
@@ -89,8 +88,3 @@ def below_die_budget(
         region="below-die",
         available_mm2=die_area_mm2 * usable_fraction,
     )
-
-
-def die_area_mm2_from_m2(area_m2: float) -> float:
-    """Convenience conversion used by the planner."""
-    return area_m2 / mm2(1.0)

@@ -7,8 +7,7 @@ engines must match building the equivalent lumped
 :class:`~repro.pdn.ac.ACNetlist` *by hand* and solving it with the
 retained scalar oracle :func:`~repro.pdn.ac.solve_ac` — per node, per
 frequency, to 1e-9 relative — across random decap/ESL maps, source
-placements, and frequencies.  The driven sweep (compiled full
-structure, internal chain nodes and all) is held to the same oracle.
+placements, and frequencies.
 """
 
 from __future__ import annotations
@@ -61,9 +60,6 @@ def lumped_equivalent(
     esr_map: np.ndarray,
     esl_map: np.ndarray,
     sources: list[tuple[int, int, float, float, float]],
-    sinks: np.ndarray | None = None,
-    edge_lx: float = 0.0,
-    edge_ly: float = 0.0,
     ring_ohm: float | None = None,
 ) -> ACNetlist:
     """The grid's circuit, built element by element (the oracle side).
@@ -76,47 +72,13 @@ def lumped_equivalent(
     for iy in range(ny):
         for ix in range(nx):
             if ix + 1 < nx:
-                if edge_lx > 0:
-                    net.add_resistor(
-                        f"x{ix},{iy}",
-                        node_name(ix, iy),
-                        f"xm{ix},{iy}",
-                        rx,
-                    )
-                    net.add_inductor(
-                        f"xl{ix},{iy}",
-                        f"xm{ix},{iy}",
-                        node_name(ix + 1, iy),
-                        edge_lx,
-                    )
-                else:
-                    net.add_resistor(
-                        f"x{ix},{iy}",
-                        node_name(ix, iy),
-                        node_name(ix + 1, iy),
-                        rx,
-                    )
+                net.add_resistor(
+                    f"x{ix},{iy}", node_name(ix, iy), node_name(ix + 1, iy), rx
+                )
             if iy + 1 < ny:
-                if edge_ly > 0:
-                    net.add_resistor(
-                        f"y{ix},{iy}",
-                        node_name(ix, iy),
-                        f"ym{ix},{iy}",
-                        ry,
-                    )
-                    net.add_inductor(
-                        f"yl{ix},{iy}",
-                        f"ym{ix},{iy}",
-                        node_name(ix, iy + 1),
-                        edge_ly,
-                    )
-                else:
-                    net.add_resistor(
-                        f"y{ix},{iy}",
-                        node_name(ix, iy),
-                        node_name(ix, iy + 1),
-                        ry,
-                    )
+                net.add_resistor(
+                    f"y{ix},{iy}", node_name(ix, iy), node_name(ix, iy + 1), ry
+                )
             c = float(c_map[iy, ix])
             if c > 0:
                 esr = float(esr_map[iy, ix])
@@ -140,13 +102,6 @@ def lumped_equivalent(
                     net.add_capacitor(
                         f"c{ix},{iy}", chain, net.GROUND, c
                     )
-            if sinks is not None and sinks[iy, ix] > 0:
-                net.add_current_source(
-                    f"sink{ix},{iy}",
-                    node_name(ix, iy),
-                    net.GROUND,
-                    float(sinks[iy, ix]),
-                )
     for k, (ix, iy, voltage, rout, l_src) in enumerate(sources):
         net.add_voltage_source(f"v{k}", f"emf{k}", voltage)
         if l_src > 0:
@@ -568,89 +523,3 @@ def test_spectral_matches_direct_on_a_placement_sized_mesh():
     spectral = pdn.impedance_map(freqs, method="spectral").z_ohm
     scale = max(float(np.abs(direct).max()), 1e-12)
     assert np.abs(spectral - direct).max() <= RTOL * scale
-
-
-@given(
-    nx=st.integers(min_value=2, max_value=4),
-    ny=st.integers(min_value=2, max_value=3),
-    sheet=sheets,
-    unit_c=caps,
-    unit_esr=esrs,
-    edge_l=st.one_of(st.just(0.0), esls),
-    data=st.data(),
-)
-@settings(max_examples=15, deadline=None)
-def test_driven_sweep_matches_scalar_oracle(
-    nx, ny, sheet, unit_c, unit_esr, edge_l, data
-):
-    """The compiled driven path (sources live, sinks as AC loads)
-    reproduces solve_ac on the hand-built equivalent — including
-    inductive mesh metal and every internal chain node."""
-    cells = nx * ny
-    sinks = np.array(
-        data.draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=5.0),
-                min_size=cells,
-                max_size=cells,
-            )
-        )
-    ).reshape(ny, nx)
-    source_draws = data.draw(
-        st.lists(
-            st.tuples(positions, routs, st.one_of(st.just(0.0), esls)),
-            min_size=1,
-            max_size=2,
-        )
-    )
-    freqs = np.array(
-        sorted(
-            data.draw(
-                st.lists(frequencies, min_size=1, max_size=3, unique=True)
-            )
-        )
-    )
-
-    pdn = GridACPDN(
-        1e-2,
-        1e-2,
-        sheet,
-        nx=nx,
-        ny=ny,
-        edge_inductance_x_h=edge_l,
-        edge_inductance_y_h=edge_l,
-    )
-    pdn.set_decap_map(np.full((ny, nx), unit_c), unit_esr, 0.0)
-    pdn.set_sink_array(sinks)
-    sources = attach_sources(pdn, source_draws)
-    net = lumped_equivalent(
-        nx,
-        ny,
-        pdn.edge_resistance_x_ohm,
-        pdn.edge_resistance_y_ohm,
-        np.full((ny, nx), unit_c),
-        np.full((ny, nx), unit_esr),
-        np.zeros((ny, nx)),
-        sources,
-        sinks=sinks,
-        edge_lx=edge_l,
-        edge_ly=edge_l,
-    )
-
-    solution = pdn.solve(freqs)
-    maps = solution.voltage_maps
-    for k, frequency in enumerate(freqs):
-        reference = solve_ac(net, float(frequency))
-        oracle = np.array(
-            [
-                reference.voltage(node_name(ix, iy))
-                for iy in range(ny)
-                for ix in range(nx)
-            ]
-        ).reshape(ny, nx)
-        scale = max(float(np.abs(oracle).max()), 1e-12)
-        delta = np.abs(maps[k] - oracle)
-        assert delta.max() <= RTOL * scale, (
-            f"driven sweep off by {delta.max():.3e} "
-            f"(scale {scale:.3e}) at {frequency:.4g} Hz"
-        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, InfeasibleError
@@ -197,6 +199,14 @@ class TestArrayForCurrent:
     def test_rejects_zero_current(self):
         with pytest.raises(ConfigError):
             BGA.array_for_current(0.0)
+
+    @pytest.mark.parametrize("current", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_current(self, current):
+        """NaN and inf used to escape as raw ValueError/OverflowError
+        from the element-count ceil."""
+        for tech in (BGA, TSV):
+            with pytest.raises(ConfigError, match="current_a"):
+                tech.array_for_current(current)
 
 
 class TestRatings:

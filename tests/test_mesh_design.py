@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.pdn.decap_placement import prolong_density, restrict_density
 from repro.pdn.fast_poisson import FastPoissonOperator
 from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.grid_transient import GridTransientPDN
@@ -242,6 +243,12 @@ def _columns(nodes):
     return design(GridACPDN).impedance_columns(1e6, nodes)
 
 
+def _with_cell(value):
+    density = np.ones((N, N))
+    density[1, 2] = value
+    return density
+
+
 INDEX_CASES = {
     # Off-mesh (ix, iy) pairs used to wrap onto another node's row.
     "probe-ix-past-edge": ("probe_nodes", lambda: _probe([(N + 1, 0)])),
@@ -263,6 +270,44 @@ INDEX_CASES = {
     "columns-fractional": ("nodes", lambda: _columns([1.5])),
     "columns-nan": ("nodes", lambda: _columns([math.nan])),
     "columns-past-end": ("nodes", lambda: _columns([N * N])),
+    # NaN densities used to pass straight through, negative ones were
+    # summed, and bad shapes escaped as raw IndexError/ValueError.
+    "restrict-nan-density": (
+        "density",
+        lambda: restrict_density(_with_cell(math.nan), (2, 2)),
+    ),
+    "restrict-negative-density": (
+        "density",
+        lambda: restrict_density(_with_cell(-1.0), (2, 2)),
+    ),
+    "prolong-nan-density": (
+        "density",
+        lambda: prolong_density(_with_cell(math.nan), (8, 8)),
+    ),
+    "prolong-inf-density": (
+        "density",
+        lambda: prolong_density(_with_cell(math.inf), (8, 8)),
+    ),
+    "restrict-zero-shape": (
+        "coarse_shape",
+        lambda: restrict_density(np.ones((N, N)), (0, 2)),
+    ),
+    "restrict-fractional-shape": (
+        "coarse_shape",
+        lambda: restrict_density(np.ones((N, N)), (2.5, 2)),
+    ),
+    "restrict-negative-shape": (
+        "coarse_shape",
+        lambda: restrict_density(np.ones((N, N)), (-1, 2)),
+    ),
+    "prolong-zero-shape": (
+        "fine_shape",
+        lambda: prolong_density(np.ones((2, 2)), (0, 4)),
+    ),
+    "prolong-fractional-shape": (
+        "fine_shape",
+        lambda: prolong_density(np.ones((2, 2)), (4, 4.5)),
+    ),
 }
 
 
@@ -272,7 +317,9 @@ INDEX_CASES = {
 def test_bad_index_raises_config_error_naming_the_parameter(name, call):
     """Index inputs are checked whole: a fractional, non-numeric or
     off-mesh index raises a ConfigError naming the parameter instead
-    of being truncated, wrapped, or escaping as a raw error."""
+    of being truncated, wrapped, or escaping as a raw error.  The
+    coarse-to-fine density maps check their shapes and densities the
+    same way."""
     with pytest.raises(ConfigError, match=name):
         call()
 
