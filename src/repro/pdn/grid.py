@@ -746,10 +746,12 @@ class _SpectralACStructure:
     is a positive per-node *density* of one unit cell: the system is
     ``A(ω) = G + y_u(ω) D_α + U Y(ω) Uᵀ`` with ``G`` constant, so one
     generalized eigendecomposition turns every frequency into diagonal
-    updates plus a rank-s (source-branch) Woodbury correction.
+    updates plus a rank-(s+1) Woodbury correction: one column per source
+    branch and one that subtracts the zero-mode deflation back out.
     """
 
-    lam: np.ndarray  # generalized eigenvalues (n,)
+    lam: np.ndarray  # generalized eigenvalues (n,), lam[0] deflated to tau
+    tau: float  # zero-mode deflation shift
     q: np.ndarray  # eigenvectors, Qᵀ D_α Q = I
     q_sq: np.ndarray  # Q ∘ Q, for diag(M⁻¹) gathers
     p: np.ndarray  # Qᵀ U, shape (n, s)
@@ -1034,9 +1036,17 @@ class GridACPDN(MeshDesign):
         dinv = 1.0 / np.sqrt(alpha)
         lam, v = np.linalg.eigh(g * dinv[:, None] * dinv[None, :])
         q = dinv[:, None] * v
+        # Deflate the mesh zero mode, as the structured engine does: at
+        # low frequency its weight 1/y_u dwarfs every other one and its
+        # cancellation by the source correction loses digits.  lam[0]
+        # becomes τ (mid-spectrum) and z = D_α q₀ enters the Woodbury
+        # block as a −τ branch; Qᵀz = e₀ since Qᵀ D_α Q = I.
+        tau = 0.5 * float(lam[-1])
+        lam[0] = tau
         attach, _, rout, l_src = self._source_arrays()
         return _SpectralACStructure(
             lam=lam,
+            tau=tau,
             q=q,
             q_sq=q * q,
             p=q[attach, :].T.copy(),
@@ -1051,14 +1061,16 @@ class GridACPDN(MeshDesign):
     def _impedance_spectral(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the cached eigenbasis, shape (cells, n_freqs).
 
-        ``A(ω) = M(ω) + U Y(ω) Uᵀ`` with ``M = G + y_u(ω) D_α``
-        diagonal in the eigenbasis, so ``diag(M⁻¹)`` is one GEMM over
-        the whole sweep and the source branches enter as a rank-s
+        ``A(ω) = M(ω) − τ z zᵀ + U Y(ω) Uᵀ`` with ``M = G + y_u(ω) D_α``
+        (zero mode deflated to τ) diagonal in the eigenbasis, so
+        ``diag(M⁻¹)`` is one GEMM over the whole sweep and the
+        deflation and source branches enter as a rank-(s+1)
         Sherman–Morrison–Woodbury correction whose capacitance matrix
-        inverts per frequency at s×s cost.  The cached real eigenbasis
-        multiplies the complex modal factors as real GEMMs over their
-        stacked real and imaginary parts, so it is never converted to
-        complex.
+        inverts per frequency at (s+1)² cost.  Since Qᵀz = e₀, the
+        deflation column's influence is the rank-one ``w₀ q₀``; the
+        source columns' come from the cached real eigenbasis as real
+        GEMMs over the stacked real and imaginary parts of the complex
+        modal factors, so the basis is never converted to complex.
         """
         structure = self._ensure_spectral()
         reactance = omega * structure.unit_esl - 1.0 / (
@@ -1071,34 +1083,41 @@ class GridACPDN(MeshDesign):
         stacked = np.concatenate([w.real, w.imag]) @ structure.q_sq.T
         diag = stacked[:f_count] + 1j * stacked[f_count:]  # (F, cells)
         s_count = len(structure.rout)
-        if s_count:
-            # tmp = M⁻¹-weighted QᵀU per frequency, laid out (n, F, s)
-            # so its complex view is one real (n, 2·F·s) operand.
-            tmp = w.T[:, :, None] * structure.p[:, None, :]
-            flat = tmp.view(float).reshape(n, -1)
-            influence = (  # M⁻¹U, (F, cells, s)
-                (structure.q @ flat).view(complex)
-                .reshape(-1, f_count, s_count).transpose(1, 0, 2)
-            )
-            t = (  # UᵀM⁻¹U, (F, s, s)
-                (structure.p.T @ flat).view(complex)
-                .reshape(s_count, f_count, s_count).transpose(1, 0, 2)
-            )
-            y_branch_inv = (
+        # tmp = M⁻¹-weighted QᵀU per frequency, laid out (n, F, s) so
+        # its complex view is one real (n, 2·F·s) operand.
+        tmp = w.T[:, :, None] * structure.p[:, None, :]
+        flat = tmp.view(float).reshape(n, -1)
+        w0 = w[:, 0]
+        influence = np.empty((f_count, n, s_count + 1), dtype=complex)
+        influence[:, :, 0] = w0[:, None] * structure.q[None, :, 0]
+        influence[:, :, 1:] = (  # M⁻¹U
+            (structure.q @ flat).view(complex)
+            .reshape(n, f_count, s_count).transpose(1, 0, 2)
+        )
+        capacitance = np.empty(  # [z, U]ᵀM⁻¹[z, U] + Y⁻¹
+            (f_count, s_count + 1, s_count + 1), dtype=complex
+        )
+        capacitance[:, 0, 0] = w0 - 1.0 / structure.tau
+        capacitance[:, 0, 1:] = w0[:, None] * structure.p[0][None, :]
+        capacitance[:, 1:, 0] = capacitance[:, 0, 1:]
+        capacitance[:, 1:, 1:] = (
+            (structure.p.T @ flat).view(complex)
+            .reshape(s_count, f_count, s_count).transpose(1, 0, 2)
+        ) + (
+            (
                 structure.rout[None, :]
                 + 1j * omega[:, None] * structure.l_src[None, :]
-            )
-            capacitance = t + (
-                y_branch_inv[:, :, None] * np.eye(s_count)[None, :, :]
-            )
-            try:
-                with np.errstate(all="ignore"):
-                    k = np.linalg.inv(capacitance)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"grid impedance source correction is singular: {exc}"
-                ) from exc
-            diag = diag - ((influence @ k) * influence).sum(axis=-1)
+            )[:, :, None]
+            * np.eye(s_count)[None, :, :]
+        )
+        try:
+            with np.errstate(all="ignore"):
+                k = np.linalg.inv(capacitance)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"grid impedance source correction is singular: {exc}"
+            ) from exc
+        diag = diag - ((influence @ k) * influence).sum(axis=-1)
         return diag.T
 
     def _ensure_structured(self) -> _StructuredACStructure:
